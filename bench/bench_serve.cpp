@@ -10,9 +10,9 @@
 // Acceptance: batched >= 2x baseline throughput, rerun >= 10x cold pass.
 // `--smoke` shrinks the sweep and reports the ratios without gating the
 // exit code on them (CI runners have too few cores for the batching win).
-// Per-stage latency percentiles land in bench_serve_metrics.csv; the final
-// service's obs scrape lands in BENCH_serve_metrics.prom / .json (the
-// artifact CI uploads — a real snapshot of every layer's metric families).
+// The final service's obs scrape — per-stage latency histograms included —
+// lands in BENCH_serve_metrics.prom / .json (the artifact CI uploads — a
+// real snapshot of every layer's metric families).
 //
 // Phase 4 (SLO) has two parts, both landing in BENCH_serve_slo.json:
 //   4a. quality-vs-deadline — the anytime "rl-mcts" search on 32x32x8
@@ -29,6 +29,7 @@
 #include <cstring>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -55,18 +56,39 @@ std::vector<std::shared_ptr<const hanan::HananGrid>> make_layouts(
   return grids;
 }
 
+struct Sweep {
+  double seconds = 0.0;
+  std::size_t cache_hits = 0;
+};
+
 /// Submits every layout up front (a deep queue, as a loaded server sees) and
-/// waits for all replies; returns the wall seconds for the whole sweep.
-double run_sweep(serve::RouterService& service,
-                 const std::vector<std::shared_ptr<const hanan::HananGrid>>& grids) {
+/// waits for all replies; returns the sweep's wall seconds and cache hits.
+Sweep run_sweep(serve::RouterService& service,
+                const std::vector<std::shared_ptr<const hanan::HananGrid>>& grids) {
   util::Timer timer;
   std::vector<std::future<serve::RouteReply>> replies;
   replies.reserve(grids.size());
   for (const auto& grid : grids) {
     replies.push_back(service.submit(serve::RouteRequest{grid, std::nullopt}));
   }
-  for (auto& reply : replies) reply.get();
-  return timer.seconds();
+  Sweep sweep;
+  for (auto& reply : replies) {
+    if (reply.get().cache_hit) ++sweep.cache_hits;
+  }
+  sweep.seconds = timer.seconds();
+  return sweep;
+}
+
+/// Running {sum, count} of the batch-occupancy histogram; a before/after
+/// delta gives the mean micro-batch size of the requests in between.
+std::pair<double, double> batch_occupancy() {
+  for (const obs::HistogramSample& h :
+       obs::MetricsRegistry::instance().snapshot().histograms) {
+    if (h.name == "oar_serve_batch_occupancy") {
+      return {h.sum, double(h.count)};
+    }
+  }
+  return {0.0, 0.0};
 }
 
 std::vector<std::shared_ptr<const hanan::HananGrid>> make_slo_layouts(
@@ -168,7 +190,7 @@ int main(int argc, char** argv) {
     cfg.max_batch = 1;
     cfg.cache_capacity = 0;
     serve::RouterService service(selector, cfg);
-    base_seconds = run_sweep(service, grids);
+    base_seconds = run_sweep(service, grids).seconds;
   }
   const double base_rps = double(kLayouts) / base_seconds;
   std::printf("baseline   (batch=1):  %7.3fs  %6.1f req/s\n", base_seconds,
@@ -182,8 +204,12 @@ int main(int argc, char** argv) {
     cfg.max_batch = 8;
     cfg.cache_capacity = 0;
     serve::RouterService service(selector, cfg);
-    batch_seconds = run_sweep(service, grids);
-    mean_batch = service.metrics().snapshot().mean_batch_size;
+    const auto [sum_before, count_before] = batch_occupancy();
+    batch_seconds = run_sweep(service, grids).seconds;
+    const auto [sum_after, count_after] = batch_occupancy();
+    if (count_after > count_before) {
+      mean_batch = (sum_after - sum_before) / (count_after - count_before);
+    }
   }
   const double batch_rps = double(kLayouts) / batch_seconds;
   const double speedup = base_seconds / batch_seconds;
@@ -199,11 +225,11 @@ int main(int argc, char** argv) {
     cfg.max_batch = 8;
     cfg.cache_capacity = 2 * kLayouts;
     serve::RouterService service(selector, cfg);
-    cold_seconds = run_sweep(service, grids);
-    warm_seconds = run_sweep(service, grids);
-    const auto snap = service.metrics().snapshot();
-    hit_rate = snap.cache_hit_rate();
-    service.metrics().dump_csv("bench_serve_metrics.csv");
+    const Sweep cold = run_sweep(service, grids);
+    const Sweep warm = run_sweep(service, grids);
+    cold_seconds = cold.seconds;
+    warm_seconds = warm.seconds;
+    hit_rate = double(cold.cache_hits + warm.cache_hits) / double(2 * kLayouts);
     if (obs::write_text_file("BENCH_serve_metrics.prom",
                              service.scrape_prometheus()) &&
         obs::write_text_file("BENCH_serve_metrics.json",
@@ -217,8 +243,6 @@ int main(int argc, char** argv) {
               warm_seconds, 100.0 * hit_rate);
   std::printf("cache speedup: %.1fx  [%s] (need >= 10x)\n\n", cache_speedup,
               cache_speedup >= 10.0 ? "PASS" : "FAIL");
-
-  std::printf("per-stage latency histograms -> bench_serve_metrics.csv\n\n");
 
   // Phase 4a: quality-vs-deadline curve of the anytime search.
   bool slo_valid = true;

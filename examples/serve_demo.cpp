@@ -1,12 +1,16 @@
 // RouterService walkthrough: several concurrent clients stream routing
 // requests (with deadlines) at one service instance.  Demonstrates
 // micro-batching, symmetry-aware cache hits (a rotated copy of a routed
-// layout is answered from the cache) and the per-stage metrics snapshot.
+// layout is answered from the cache) and the service's metric families in
+// the Prometheus scrape.
 //
 // Usage: serve_demo [clients] [requests-per-client]
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,6 +45,7 @@ int main(int argc, char** argv) {
   cfg.batch_wait_ms = 3.0;
   serve::RouterService service(selector, cfg);
 
+  std::atomic<int> hits{0}, misses{0}, deadline_misses{0};
   std::vector<std::thread> workers;
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
@@ -56,6 +61,8 @@ int main(int argc, char** argv) {
         request.deadline =
             serve::Clock::now() + std::chrono::milliseconds(250);
         const serve::RouteReply reply = service.submit(std::move(request)).get();
+        ++(reply.cache_hit ? hits : misses);
+        if (!reply.deadline_met) ++deadline_misses;
         std::printf(
             "client %d req %d: cost %7.0f  %s%s  %5.1f ms total\n", c, r,
             reply.result.cost, reply.cache_hit ? "cache-hit " : "routed    ",
@@ -65,19 +72,20 @@ int main(int argc, char** argv) {
   }
   for (auto& w : workers) w.join();
 
-  const auto snap = service.metrics().snapshot();
-  std::printf("\n%llu requests, %llu cache hits (%.0f%%), %llu batches "
-              "(mean size %.1f), %llu deadline misses\n",
-              (unsigned long long)snap.requests,
-              (unsigned long long)snap.cache_hits, 100.0 * snap.cache_hit_rate(),
-              (unsigned long long)snap.batches, snap.mean_batch_size,
-              (unsigned long long)snap.deadline_misses);
-  for (int s = 0; s < serve::kNumStages; ++s) {
-    const auto& st = snap.stages[std::size_t(s)];
-    if (st.count == 0) continue;
-    std::printf("  %-14s count %4zu  mean %7.2f ms  p90 %7.2f ms\n",
-                serve::stage_name(serve::Stage(s)), st.count, st.mean_ms,
-                st.p90_ms);
+  const int requests = hits + misses;
+  std::printf("\n%d requests, %d cache hits (%.0f%%), %d misses, "
+              "%d deadline misses\n\n",
+              requests, hits.load(),
+              requests == 0 ? 0.0 : 100.0 * hits / requests, misses.load(),
+              deadline_misses.load());
+
+  // The serving families of the scrape (bucket series omitted for brevity).
+  std::istringstream scrape(service.scrape_prometheus());
+  for (std::string line; std::getline(scrape, line);) {
+    if (line.rfind("oar_serve_", 0) == 0 &&
+        line.find("_bucket{") == std::string::npos) {
+      std::printf("  %s\n", line.c_str());
+    }
   }
   return 0;
 }

@@ -26,7 +26,6 @@
 #include "chip/congestion.hpp"
 #include "chip/netlist.hpp"
 #include "chip/ordering.hpp"
-#include "core/multi_net.hpp"
 #include "core/pretrained.hpp"
 #include "core/registry.hpp"
 #include "core/rl_router.hpp"
@@ -49,11 +48,7 @@
 #include "rl/selector.hpp"
 #include "rl/seq_trainer.hpp"
 #include "rl/trainer.hpp"
-#include "route/astar.hpp"
 #include "route/oarmst.hpp"
-#include "serve/canonical.hpp"
-#include "serve/metrics.hpp"
-#include "serve/result_cache.hpp"
 #include "serve/service.hpp"
 #include "steiner/lin08.hpp"
 #include "steiner/oracle.hpp"

@@ -31,7 +31,7 @@ class RouteTree {
 
   /// Re-points the tree at an equivalent grid (same dims/costs).  Needed
   /// when a tree outlives the grid instance it was built against (e.g. the
-  /// per-net grids of core::route_nets).
+  /// per-net grids of chip::ChipRouter, or a serving reply's shared grid).
   void rebind_grid(const HananGrid* grid) { grid_ = grid; }
 
   /// Adds the edge (deduplicated); returns true when newly inserted.

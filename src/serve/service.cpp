@@ -11,20 +11,24 @@
 
 namespace oar::serve {
 
+using hanan::HananGrid;
+using hanan::Vertex;
+
 namespace {
 
-// Global-registry counterparts of ServiceMetrics (which keeps the CSV
-// percentile path).  Names follow the oar_<subsystem>_<what>_<unit> scheme
-// of DESIGN.md §12; the serving integration test pins these families.
+// End-to-end latency family; refresh_gauges() reads its quantiles.
+constexpr const char* kRequestLatency = "oar_serve_request_latency_seconds";
+
+// The serving layer's metrics: fixed-size, lock-free families in the
+// process-global registry.  Names follow the oar_<subsystem>_<what>_<unit>
+// scheme of DESIGN.md §12; the serving integration test pins these
+// families.
 struct ServeObs {
   obs::Counter& requests;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
   obs::Counter& batches;
-  obs::Counter& deadline_misses;
-  // SLO family (DESIGN.md §16).  slo_deadline_misses counts together with
-  // the legacy oar_serve_deadline_misses_total (kept for dashboards that
-  // pinned it before the family existed).
+  // SLO family (DESIGN.md §16).
   obs::Counter& slo_deadline_misses;
   obs::Counter& slo_rejected_queue_full;
   obs::Counter& slo_rejected_hopeless;
@@ -34,6 +38,8 @@ struct ServeObs {
   obs::Gauge& slo_p99_latency;
   obs::Histogram& batch_occupancy;
   obs::Histogram& request_latency;
+  obs::Histogram& queue_wait;
+  obs::Histogram& batch_assembly;
   obs::Histogram& inference_latency;
   obs::Histogram& routing_latency;
   obs::Histogram& slo_slack;
@@ -48,8 +54,6 @@ ServeObs& serve_obs() {
       reg.counter("oar_serve_cache_misses_total",
                   "Requests that missed the result cache and were queued"),
       reg.counter("oar_serve_batches_total", "Micro-batches processed"),
-      reg.counter("oar_serve_deadline_misses_total",
-                  "Replies that finished after the request deadline"),
       reg.counter("oar_serve_slo_deadline_misses_total",
                   "Served replies that finished after their effective deadline"),
       reg.counter("oar_serve_slo_rejected_queue_full_total",
@@ -64,8 +68,12 @@ ServeObs& serve_obs() {
                 "p99 end-to-end latency, refreshed at each scrape"),
       reg.histogram("oar_serve_batch_occupancy", obs::pow2_buckets(8),
                     "Requests per processed micro-batch"),
-      reg.histogram("oar_serve_request_latency_seconds", obs::latency_buckets(),
+      reg.histogram(kRequestLatency, obs::latency_buckets(),
                     "Submit-to-reply latency per request"),
+      reg.histogram("oar_serve_queue_wait_seconds", obs::latency_buckets(),
+                    "Submit-to-batch-pop wait per queued request"),
+      reg.histogram("oar_serve_batch_assembly_seconds", obs::latency_buckets(),
+                    "Leader pop to inference dispatch per micro-batch"),
       reg.histogram("oar_serve_inference_seconds", obs::latency_buckets(),
                     "Batched U-Net pass latency per micro-batch"),
       reg.histogram("oar_serve_routing_seconds", obs::latency_buckets(),
@@ -163,7 +171,6 @@ RouterService::RouterService(std::shared_ptr<rl::SteinerSelector> selector,
       selector_(std::move(selector)),
       store_(std::move(store)),
       pool_(config.worker_threads) {
-  config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   config_.validate();
   if (store_ == nullptr) {
     store_ = std::make_shared<experience::Store>(store_config_of(config_));
@@ -181,7 +188,6 @@ RouterService::~RouterService() {
 }
 
 std::future<RouteReply> RouterService::submit(RouteRequest request) {
-  metrics_.add_request();
   serve_obs().requests.inc();
   const Clock::time_point now = Clock::now();
 
@@ -200,11 +206,10 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
   // A symmetry-store hit is answered even when the deadline is hopeless —
   // the reply is free, so rejecting it would only discard useful work.
   if (caching_enabled()) {
-    pending.canon = canonicalize(*pending.request.grid);
+    pending.canon = experience::canonicalize(*pending.request.grid);
     experience::HitTier tier = experience::HitTier::kMiss;
     if (std::optional<experience::ExperienceRecord> hit = store_->get(
             experience::CanonicalKey::from_bytes(pending.canon.key), &tier)) {
-      metrics_.add_cache_hit();
       serve_obs().cache_hits.inc();
       RouteReply reply = replay_cached(pending.request, pending.canon, *hit);
       reply.hit_tier = tier;
@@ -215,12 +220,9 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
             std::max(0.0, seconds_between(done, *pending.deadline)));
         if (done > *pending.deadline) {
           reply.deadline_met = false;
-          metrics_.add_deadline_miss();
-          serve_obs().deadline_misses.inc();
           serve_obs().slo_deadline_misses.inc();
         }
       }
-      metrics_.record_stage(Stage::kTotal, reply.total_seconds);
       serve_obs().request_latency.observe(reply.total_seconds);
       pending.promise.set_value(std::move(reply));
       return fut;
@@ -243,7 +245,6 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
   if (config_.slo.reject_hopeless && pending.deadline) {
     const double slack_ms = seconds_between(now, *pending.deadline) * 1e3;
     if (slack_ms < config_.slo.min_slack_ms) {
-      metrics_.add_rejected_hopeless();
       serve_obs().slo_rejected_hopeless.inc();
       reject(ReplyStatus::kOverloadedHopelessDeadline);
       return fut;
@@ -254,7 +255,6 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (config_.slo.max_queue_depth > 0 &&
         queue_.size() >= config_.slo.max_queue_depth) {
-      metrics_.add_rejected_queue_full();
       serve_obs().slo_rejected_queue_full.inc();
       reject(ReplyStatus::kOverloadedQueueFull);
       return fut;
@@ -349,10 +349,9 @@ void RouterService::process_batch(Batch batch_in) {
   for (const Pending& p : batch) {
     // Stragglers harvested during the wait can be enqueued after the
     // leader popped; their queue wait is effectively zero.
-    metrics_.record_stage(Stage::kQueueWait,
-                          std::max(0.0, seconds_between(p.enqueued, popped)));
+    serve_obs().queue_wait.observe(
+        std::max(0.0, seconds_between(p.enqueued, popped)));
   }
-  metrics_.add_batch(batch.size());
   serve_obs().batches.inc();
   serve_obs().batch_occupancy.observe(double(batch.size()));
 
@@ -363,14 +362,13 @@ void RouterService::process_batch(Batch batch_in) {
   // Assembly = leader popped -> inference dispatch: the straggler wait
   // plus the harvesting/feature gathering above.
   const double assembly_seconds = seconds_between(popped, Clock::now());
-  metrics_.record_stage(Stage::kBatchAssembly, assembly_seconds);
+  serve_obs().batch_assembly.observe(assembly_seconds);
 
   // Stage 1: one batched U-Net pass for the whole micro-batch.
   util::Timer infer_timer;
   const std::vector<std::vector<double>> fsp =
       batched_fsp(*selector_, grids, &pool_);
   const double infer_seconds = infer_timer.seconds();
-  metrics_.record_stage(Stage::kInference, infer_seconds);
   serve_obs().inference_latency.observe(infer_seconds);
 
   // Stage 2: per-net top-k + OARMST construction across the pool.
@@ -388,7 +386,6 @@ void RouterService::process_batch(Batch batch_in) {
     results[i] = router.build(grid.pins(), steiner, &route::local_router_scratch());
   });
   const double route_seconds = route_timer.seconds();
-  metrics_.record_stage(Stage::kRouting, route_seconds);
   serve_obs().routing_latency.observe(route_seconds);
 
   const Clock::time_point done = Clock::now();
@@ -422,12 +419,9 @@ void RouterService::process_batch(Batch batch_in) {
           std::max(0.0, seconds_between(done, *p.deadline)));
       if (done > *p.deadline) {
         reply.deadline_met = false;
-        metrics_.add_deadline_miss();
-        serve_obs().deadline_misses.inc();
         serve_obs().slo_deadline_misses.inc();
       }
     }
-    metrics_.record_stage(Stage::kTotal, reply.total_seconds);
     serve_obs().request_latency.observe(reply.total_seconds);
     p.promise.set_value(std::move(reply));
   }
@@ -440,12 +434,14 @@ void RouterService::refresh_gauges() {
     o.queue_depth.set(double(queue_.size()));
   }
   o.cache_entries.set(double(store_->memory_entries()));
-  // Percentile gauges are point-in-time views over the retained samples —
-  // recomputed at every scrape, like the liveness gauges above.
-  const MetricsSnapshot snap = metrics_.snapshot();
-  const StageSummary& total = snap.stages[std::size_t(Stage::kTotal)];
-  o.slo_p50_latency.set(total.p50_ms * 1e-3);
-  o.slo_p99_latency.set(total.p99_ms * 1e-3);
+  // Percentile gauges are point-in-time quantiles of the end-to-end
+  // latency histogram, recomputed at every scrape like the liveness gauges.
+  const obs::Snapshot snap = obs::MetricsRegistry::instance().snapshot();
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name != kRequestLatency) continue;
+    o.slo_p50_latency.set(obs::histogram_quantile(h, 0.50));
+    o.slo_p99_latency.set(obs::histogram_quantile(h, 0.99));
+  }
 }
 
 std::string RouterService::scrape_prometheus() {
@@ -465,10 +461,11 @@ bool RouterService::caching_enabled() const {
 }
 
 RouteReply RouterService::replay_cached(
-    const RouteRequest& request, const CanonicalForm& canon,
+    const RouteRequest& request, const experience::CanonicalForm& canon,
     const experience::ExperienceRecord& cached) const {
   const HananGrid& grid = *request.grid;
-  const std::vector<Vertex> inv = inverse_vertex_map(grid, canon.spec);
+  const std::vector<Vertex> inv =
+      experience::inverse_vertex_map(grid, canon.spec);
 
   RouteReply reply;
   reply.grid = request.grid;

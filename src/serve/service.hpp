@@ -12,7 +12,7 @@
 //   2. fans the per-net top-k selection + OARMST construction out across a
 //      util::ThreadPool,
 //   3. fulfils each request's promise, recording per-stage latencies in
-//      ServiceMetrics.
+//      the process-global obs registry (oar_serve_* families).
 //
 // Results are memoized in a tiered experience::Store keyed by the
 // canonical layout hash (experience/canonical.hpp), so a request equal to
@@ -50,10 +50,9 @@
 #include <thread>
 #include <vector>
 
+#include "experience/canonical.hpp"
 #include "experience/store.hpp"
 #include "route/oarmst.hpp"
-#include "serve/canonical.hpp"
-#include "serve/metrics.hpp"
 #include "rl/selector.hpp"
 #include "util/thread_pool.hpp"
 
@@ -63,7 +62,7 @@ using Clock = std::chrono::steady_clock;
 
 struct RouteRequest {
   /// Layout + pins.  Shared ownership: the reply's tree stays bound to it.
-  std::shared_ptr<const HananGrid> grid;
+  std::shared_ptr<const hanan::HananGrid> grid;
   /// Optional completion deadline; a reply finishing later is flagged.
   /// Requests without one inherit SloConfig::default_deadline_ms.
   std::optional<Clock::time_point> deadline;
@@ -86,7 +85,7 @@ const char* reply_status_name(ReplyStatus status);
 
 struct RouteReply {
   /// The grid the result's tree is bound to (same object as the request's).
-  std::shared_ptr<const HananGrid> grid;
+  std::shared_ptr<const hanan::HananGrid> grid;
   route::OarmstResult result;
   /// kOk for served replies; an Overloaded value for admission rejections
   /// (result is then empty and deadline_met is false).
@@ -202,10 +201,9 @@ class RouterService {
   std::future<RouteReply> submit(RouteRequest request);
 
   /// Synchronous convenience wrapper.
-  RouteReply route(std::shared_ptr<const HananGrid> grid);
+  RouteReply route(std::shared_ptr<const hanan::HananGrid> grid);
 
   const RouterServiceConfig& config() const { return config_; }
-  ServiceMetrics& metrics() { return metrics_; }
   /// Entries resident in the memory tier (the legacy cache-size view).
   std::size_t cache_size() const { return store_->memory_entries(); }
   /// The tiered experience store backing result memoization.
@@ -233,7 +231,7 @@ class RouterService {
   struct Pending {
     RouteRequest request;
     std::promise<RouteReply> promise;
-    CanonicalForm canon;
+    experience::CanonicalForm canon;
     Clock::time_point enqueued;
     /// Effective deadline: the request's own, else submit-time +
     /// SloConfig::default_deadline_ms (nullopt when neither applies).
@@ -250,10 +248,12 @@ class RouterService {
   /// Blocks for work; an empty batch means "stopping and drained".
   Batch take_batch();
   void process_batch(Batch batch);
-  /// Refreshes the liveness + percentile gauges ahead of a scrape.
+  /// Refreshes the liveness gauges and the p50/p99 gauges (quantiles of
+  /// oar_serve_request_latency_seconds) ahead of a scrape.
   void refresh_gauges();
   /// Builds a reply from a stored record (maps canonical -> request space).
-  RouteReply replay_cached(const RouteRequest& request, const CanonicalForm& canon,
+  RouteReply replay_cached(const RouteRequest& request,
+                           const experience::CanonicalForm& canon,
                            const experience::ExperienceRecord& cached) const;
   /// True when some tier can answer (memory capacity > 0 or a disk tier).
   bool caching_enabled() const;
@@ -261,7 +261,6 @@ class RouterService {
   RouterServiceConfig config_;
   std::shared_ptr<rl::SteinerSelector> selector_;
   std::shared_ptr<experience::Store> store_;
-  ServiceMetrics metrics_;
   util::ThreadPool pool_;
 
   std::mutex mutex_;

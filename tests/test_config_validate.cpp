@@ -168,6 +168,18 @@ TEST(ConfigValidate, RouterService) {
                     "SloConfig.default_deadline_ms");
   expect_rejects<C>([](C& c) { c.slo.min_slack_ms = kNan; },
                     "SloConfig.min_slack_ms");
+  // The service constructor enforces the same rule instead of coercing.
+  C zero_batch;
+  zero_batch.max_batch = 0;
+  zero_batch.worker_threads = 1;
+  try {
+    serve::RouterService svc(nullptr, zero_batch);
+    ADD_FAILURE() << "RouterService accepted max_batch = 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("RouterServiceConfig.max_batch"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigValidate, SloConfig) {

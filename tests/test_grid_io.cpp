@@ -88,6 +88,11 @@ struct BadInputCase {
   const char* expected_error;
 };
 
+// Without this gtest prints the raw struct bytes, i.e. string-literal
+// addresses that change with every run under ASLR, and ctest's discovered
+// test names change with them.
+void PrintTo(const BadInputCase& c, std::ostream* os) { *os << c.name; }
+
 class GridIoBadInputTest : public ::testing::TestWithParam<BadInputCase> {};
 
 TEST_P(GridIoBadInputTest, RejectsMalformedInput) {

@@ -15,6 +15,8 @@
 namespace oar::serve {
 namespace {
 
+using hanan::HananGrid;
+
 rl::SelectorConfig tiny_config() {
   rl::SelectorConfig cfg;
   cfg.unet.in_channels = 7;

@@ -4,19 +4,29 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "experience/canonical.hpp"
 #include "gen/random_layout.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batched_selector.hpp"
-#include "serve/canonical.hpp"
-#include "serve/metrics.hpp"
-#include "serve/result_cache.hpp"
 
 namespace oar::serve {
 namespace {
+
+using hanan::Vertex;
+
+/// A registry counter's current value, read through a snapshot so probing
+/// never registers a family (0 when absent, e.g. under NO_METRICS).
+std::uint64_t counter_value(const std::string& name) {
+  for (const obs::CounterSample& c :
+       obs::MetricsRegistry::instance().snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
 
 rl::SelectorConfig tiny_config() {
   rl::SelectorConfig cfg;
@@ -48,11 +58,11 @@ std::set<std::pair<Vertex, Vertex>> edge_set(const route::RouteTree& tree) {
 
 TEST(Canonical, AllSixteenSymmetriesShareOneKey) {
   const HananGrid grid = small_grid();
-  const CanonicalForm base = canonicalize(grid);
+  const experience::CanonicalForm base = experience::canonicalize(grid);
   EXPECT_TRUE(base.symmetric);
   for (const rl::AugmentSpec& spec : rl::all_augmentations()) {
     const HananGrid variant = rl::transform_grid(grid, spec);
-    const CanonicalForm form = canonicalize(variant);
+    const experience::CanonicalForm form = experience::canonicalize(variant);
     EXPECT_EQ(form.key, base.key);
   }
 }
@@ -62,14 +72,16 @@ TEST(Canonical, FastOrbitSerializationMatchesReference) {
   // Reference: serialize the fully constructed transformed grids.
   std::string expect;
   for (const rl::AugmentSpec& spec : rl::all_augmentations()) {
-    std::string key = serialize_grid(rl::transform_grid(grid, spec));
+    std::string key =
+        experience::serialize_grid(rl::transform_grid(grid, spec));
     if (expect.empty() || key < expect) expect = std::move(key);
   }
-  EXPECT_EQ(canonicalize(grid).key, expect);
+  EXPECT_EQ(experience::canonicalize(grid).key, expect);
 }
 
 TEST(Canonical, DistinctLayoutsGetDistinctKeys) {
-  EXPECT_NE(canonicalize(small_grid(4)).key, canonicalize(small_grid(5)).key);
+  EXPECT_NE(experience::canonicalize(small_grid(4)).key,
+            experience::canonicalize(small_grid(5)).key);
 }
 
 TEST(Canonical, CostBiasOverlayForcesIdentityKey) {
@@ -77,20 +89,20 @@ TEST(Canonical, CostBiasOverlayForcesIdentityKey) {
   // orbit: canonicalize must fall back to the identity key, and two
   // different overlay states must never alias one cache entry.
   HananGrid grid = small_grid();
-  const CanonicalForm plain = canonicalize(grid);
+  const experience::CanonicalForm plain = experience::canonicalize(grid);
   ASSERT_TRUE(plain.symmetric);
 
   grid.set_edge_cost_bias(0, hanan::Dir::kPosX, 2.5);
-  const CanonicalForm biased = canonicalize(grid);
+  const experience::CanonicalForm biased = experience::canonicalize(grid);
   EXPECT_FALSE(biased.symmetric);
   EXPECT_NE(biased.key, plain.key);
 
   grid.set_edge_cost_bias(0, hanan::Dir::kPosX, 3.5);
-  EXPECT_NE(canonicalize(grid).key, biased.key);
+  EXPECT_NE(experience::canonicalize(grid).key, biased.key);
 
   // Clearing the overlay restores the symmetric orbit key exactly.
   grid.clear_edge_cost_biases();
-  const CanonicalForm restored = canonicalize(grid);
+  const experience::CanonicalForm restored = experience::canonicalize(grid);
   EXPECT_TRUE(restored.symmetric);
   EXPECT_EQ(restored.key, plain.key);
 }
@@ -98,56 +110,13 @@ TEST(Canonical, CostBiasOverlayForcesIdentityKey) {
 TEST(Canonical, InverseVertexMapRoundTrips) {
   const HananGrid grid = small_grid();
   for (const rl::AugmentSpec& spec : rl::all_augmentations()) {
-    const std::vector<Vertex> inv = inverse_vertex_map(grid, spec);
+    const std::vector<Vertex> inv =
+        experience::inverse_vertex_map(grid, spec);
     for (Vertex v = 0; v < grid.num_vertices(); ++v) {
       EXPECT_EQ(inv[std::size_t(rl::transform_vertex(grid, v, spec))], v);
     }
   }
 }
-
-// ResultCache is a deprecated shim over experience::Store; these tests
-// exercise the shim itself, so the warning is expected noise here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ResultCache, LruEvictsOldestAndGetRefreshes) {
-  ResultCache cache(2);
-  CachedRoute value;
-  value.cost = 1.0;
-  cache.put("a", value);
-  cache.put("b", value);
-  ASSERT_TRUE(cache.get("a").has_value());  // refreshes "a"
-  cache.put("c", value);                    // evicts "b"
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ResultCache, ZeroCapacityStoresNothing) {
-  ResultCache cache(0);
-  cache.put("a", CachedRoute{});
-  EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ResultCache, ClearResetsEntriesGauge) {
-  // Regression: clear() used to leave oar_serve_cache_entries at its old
-  // value until the next scrape refreshed it.  Mutations now maintain it.
-  if (!obs::enabled()) GTEST_SKIP() << "metrics disabled";
-  obs::Gauge& gauge = obs::MetricsRegistry::instance().gauge(
-      "oar_serve_cache_entries", "Entries resident in the result cache");
-  ResultCache cache(4);
-  CachedRoute value;
-  cache.put("a", value);
-  cache.put("b", value);
-  EXPECT_EQ(gauge.value(), 2.0);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(gauge.value(), 0.0);
-}
-
-#pragma GCC diagnostic pop
 
 TEST(BatchedSelector, MatchesSingleSampleInference) {
   rl::SteinerSelector selector(tiny_config());
@@ -172,6 +141,7 @@ TEST(RouterService, CacheHitReturnsIdenticalTree) {
   RouterServiceConfig cfg;
   cfg.max_batch = 4;
   RouterService service(selector, cfg);
+  const std::uint64_t hits_before = counter_value("oar_serve_cache_hits_total");
 
   const auto grid = std::make_shared<const HananGrid>(small_grid());
   const RouteReply cold = service.route(grid);
@@ -184,7 +154,9 @@ TEST(RouterService, CacheHitReturnsIdenticalTree) {
   EXPECT_DOUBLE_EQ(warm.result.cost, cold.result.cost);
   EXPECT_EQ(edge_set(warm.result.tree), edge_set(cold.result.tree));
   EXPECT_EQ(warm.result.kept_steiner.size(), cold.result.kept_steiner.size());
-  EXPECT_EQ(service.metrics().snapshot().cache_hits, 1u);
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_cache_hits_total") - hits_before, 1u);
+  }
 }
 
 TEST(RouterService, RotatedLayoutHitsSameCacheEntry) {
@@ -211,6 +183,8 @@ TEST(RouterService, RotatedLayoutHitsSameCacheEntry) {
 TEST(RouterService, ExpiredDeadlineIsFlagged) {
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
   RouterService service(selector, {});
+  const std::uint64_t misses_before =
+      counter_value("oar_serve_slo_deadline_misses_total");
 
   RouteRequest request;
   request.grid = std::make_shared<const HananGrid>(small_grid());
@@ -218,7 +192,11 @@ TEST(RouterService, ExpiredDeadlineIsFlagged) {
   const RouteReply reply = service.submit(std::move(request)).get();
   EXPECT_TRUE(reply.result.connected);  // still routed, just late
   EXPECT_FALSE(reply.deadline_met);
-  EXPECT_EQ(service.metrics().snapshot().deadline_misses, 1u);
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_slo_deadline_misses_total") -
+                  misses_before,
+              1u);
+  }
 }
 
 TEST(RouterService, ConcurrentClientsAllComplete) {
@@ -227,6 +205,9 @@ TEST(RouterService, ConcurrentClientsAllComplete) {
   cfg.max_batch = 4;
   cfg.batch_wait_ms = 1.0;
   RouterService service(selector, cfg);
+  const std::uint64_t requests_before =
+      counter_value("oar_serve_requests_total");
+  const std::uint64_t hits_before = counter_value("oar_serve_cache_hits_total");
 
   std::vector<std::shared_ptr<const HananGrid>> layouts;
   for (std::uint64_t s = 1; s <= 3; ++s) {
@@ -234,7 +215,7 @@ TEST(RouterService, ConcurrentClientsAllComplete) {
   }
 
   constexpr int kClients = 4, kPerClient = 6;
-  std::atomic<int> connected{0};
+  std::atomic<int> connected{0}, hits{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -243,45 +224,23 @@ TEST(RouterService, ConcurrentClientsAllComplete) {
         const RouteReply reply =
             service.submit(RouteRequest{grid, std::nullopt}).get();
         if (reply.result.connected) connected++;
+        if (reply.cache_hit) hits++;
       }
     });
   }
   for (std::thread& t : clients) t.join();
 
   EXPECT_EQ(connected.load(), kClients * kPerClient);
-  const MetricsSnapshot snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.requests, std::uint64_t(kClients * kPerClient));
   // Only 3 distinct layouts exist; concurrent first touches may each miss,
   // but the steady state must be hits and at most 3 entries.
-  EXPECT_GE(snap.cache_hits, 1u);
+  EXPECT_GE(hits.load(), 1);
   EXPECT_LE(service.cache_size(), 3u);
-}
-
-TEST(ServiceMetrics, SnapshotAndCsvDump) {
-  ServiceMetrics metrics;
-  for (int i = 1; i <= 10; ++i) {
-    metrics.record_stage(Stage::kInference, 0.001 * i);
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_requests_total") - requests_before,
+              std::uint64_t(kClients * kPerClient));
+    EXPECT_EQ(counter_value("oar_serve_cache_hits_total") - hits_before,
+              std::uint64_t(hits.load()));
   }
-  metrics.add_request();
-  metrics.add_request();
-  metrics.add_cache_hit();
-  metrics.add_batch(4);
-
-  const MetricsSnapshot snap = metrics.snapshot();
-  const StageSummary& inf = snap.stages[std::size_t(Stage::kInference)];
-  EXPECT_EQ(inf.count, 10u);
-  EXPECT_NEAR(inf.mean_ms, 5.5, 1e-9);
-  EXPECT_NEAR(inf.max_ms, 10.0, 1e-9);
-  EXPECT_GT(inf.p90_ms, inf.p50_ms);
-  EXPECT_DOUBLE_EQ(snap.cache_hit_rate(), 0.5);
-  EXPECT_DOUBLE_EQ(snap.mean_batch_size, 4.0);
-
-  const std::string path = testing::TempDir() + "serve_metrics_test.csv";
-  EXPECT_TRUE(metrics.dump_csv(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,14 +14,43 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gen/random_layout.hpp"
-#include "serve/metrics.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 
 namespace oar::serve {
 namespace {
+
+using hanan::HananGrid;
+
+/// Registry reads through a snapshot, so probing never registers a family
+/// (absent families read as zero, e.g. under NO_METRICS).
+std::uint64_t counter_value(const std::string& name) {
+  for (const obs::CounterSample& c :
+       obs::MetricsRegistry::instance().snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+obs::HistogramSample histogram_sample(const obs::Snapshot& snap,
+                                      const std::string& name) {
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name == name) return h;
+  }
+  return {};
+}
+
+double gauge_value(const obs::Snapshot& snap, const std::string& name) {
+  for (const obs::GaugeSample& g : snap.gauges) {
+    if (g.name == name) return g.value;
+  }
+  return 0.0;
+}
 
 rl::SelectorConfig tiny_config() {
   rl::SelectorConfig cfg;
@@ -118,23 +147,26 @@ TEST(RouterServiceSlo, NonzeroBatchWaitDoesTimedWait) {
 }
 
 TEST(RouterServiceSlo, BatchAssemblyStageIsMeasured) {
-  // Regression: kBatchAssembly used to be recorded as a hard-coded 0.0.
+  // Regression: batch assembly used to be recorded as a hard-coded 0.0.
   // A lone request with a 50ms straggler window must show the window in
-  // the assembly stage (pop -> dispatch interval).
+  // the assembly histogram (pop -> dispatch interval).
+  const char* kAssembly = "oar_serve_batch_assembly_seconds";
+  const obs::HistogramSample before =
+      histogram_sample(obs::MetricsRegistry::instance().snapshot(), kAssembly);
   RouterServiceConfig cfg;
   cfg.max_batch = 8;
   cfg.batch_wait_ms = 50.0;
   cfg.cache_capacity = 0;
   RouterService service(tiny_selector(), cfg);
   EXPECT_TRUE(service.route(small_grid()).result.connected);
+  if (!obs::kMetricsCompiled) return;
 
-  const MetricsSnapshot snap = service.metrics().snapshot();
-  const StageSummary& assembly =
-      snap.stages[std::size_t(Stage::kBatchAssembly)];
-  ASSERT_EQ(assembly.count, 1u);
+  const obs::HistogramSample after =
+      histogram_sample(obs::MetricsRegistry::instance().snapshot(), kAssembly);
+  ASSERT_EQ(after.count - before.count, 1u);
   // Scheduler jitter can stretch the window but never shrink it below
   // ~the configured wait; 25ms rules out the old 0.0 without flaking.
-  EXPECT_GE(assembly.mean_ms, 25.0);
+  EXPECT_GE(after.sum - before.sum, 0.025);
 }
 
 TEST(RouterServiceSlo, DeadlineCapsStragglerWait) {
@@ -163,11 +195,17 @@ TEST(RouterServiceSlo, DefaultDeadlineIsStampedAndFlagged) {
   cfg.cache_capacity = 0;
   cfg.slo.default_deadline_ms = 1e-3;
   RouterService service(tiny_selector(), cfg);
+  const std::uint64_t misses_before =
+      counter_value("oar_serve_slo_deadline_misses_total");
   const RouteReply reply = service.route(small_grid());
   EXPECT_EQ(reply.status, ReplyStatus::kOk);
   EXPECT_TRUE(reply.result.connected);
   EXPECT_FALSE(reply.deadline_met);
-  EXPECT_GE(service.metrics().snapshot().deadline_misses, 1u);
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_slo_deadline_misses_total") -
+                  misses_before,
+              1u);
+  }
 }
 
 TEST(RouterServiceSlo, HopelessDeadlineRejectsTyped) {
@@ -176,13 +214,19 @@ TEST(RouterServiceSlo, HopelessDeadlineRejectsTyped) {
   cfg.cache_capacity = 0;
   cfg.slo.reject_hopeless = true;
   RouterService service(tiny_selector(), cfg);
+  const std::uint64_t rejected_before =
+      counter_value("oar_serve_slo_rejected_hopeless_total");
   const RouteReply reply =
       service.submit(RouteRequest{small_grid(), in_ms(-5.0)}).get();
   EXPECT_EQ(reply.status, ReplyStatus::kOverloadedHopelessDeadline);
   EXPECT_TRUE(reply.overloaded());
   EXPECT_FALSE(reply.deadline_met);
   EXPECT_FALSE(reply.result.connected);
-  EXPECT_EQ(service.metrics().snapshot().rejected_hopeless, 1u);
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_slo_rejected_hopeless_total") -
+                  rejected_before,
+              1u);
+  }
   // A request with healthy slack is admitted and served.
   const RouteReply ok =
       service.submit(RouteRequest{small_grid(), in_ms(60000.0)}).get();
@@ -200,6 +244,8 @@ TEST(RouterServiceSlo, QueueFullRejectsTyped) {
   cfg.cache_capacity = 0;
   cfg.slo.max_queue_depth = 2;
   RouterService service(tiny_selector(), cfg);
+  const std::uint64_t rejected_before =
+      counter_value("oar_serve_slo_rejected_queue_full_total");
 
   // Pin the batcher: lone 6x6x2 leader waits 300ms for same-shape company.
   auto pin = service.submit(RouteRequest{small_grid(), std::nullopt});
@@ -216,7 +262,11 @@ TEST(RouterServiceSlo, QueueFullRejectsTyped) {
   EXPECT_EQ(rejected.status, ReplyStatus::kOverloadedQueueFull);
   EXPECT_FALSE(rejected.deadline_met);
   EXPECT_FALSE(rejected.result.connected);
-  EXPECT_EQ(service.metrics().snapshot().rejected_queue_full, 1u);
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_slo_rejected_queue_full_total") -
+                  rejected_before,
+              1u);
+  }
 
   // Every admitted request is still served as a valid tree.
   EXPECT_TRUE(pin.get().result.connected);
@@ -258,9 +308,14 @@ TEST(RouterServiceSlo, ScrapeCarriesSloFamilies) {
   cfg.cache_capacity = 0;
   cfg.slo.default_deadline_ms = 60000.0;
   RouterService service(tiny_selector(), cfg);
-  EXPECT_TRUE(service.route(small_grid()).result.connected);
+  const obs::Snapshot before = obs::MetricsRegistry::instance().snapshot();
+  constexpr std::uint64_t kRequests = 5;
+  for (std::uint64_t seed = 1; seed <= kRequests; ++seed) {
+    EXPECT_TRUE(service.route(small_grid(seed)).result.connected);
+  }
 
   const std::string prom = service.scrape_prometheus();
+  if (!obs::kMetricsCompiled) return;  // the scrape is empty
   EXPECT_NE(prom.find("oar_serve_slo_deadline_misses_total"), std::string::npos);
   EXPECT_NE(prom.find("oar_serve_slo_rejected_queue_full_total"),
             std::string::npos);
@@ -269,6 +324,30 @@ TEST(RouterServiceSlo, ScrapeCarriesSloFamilies) {
   EXPECT_NE(prom.find("oar_serve_slo_slack_seconds"), std::string::npos);
   EXPECT_NE(prom.find("oar_serve_slo_p50_latency_seconds"), std::string::npos);
   EXPECT_NE(prom.find("oar_serve_slo_p99_latency_seconds"), std::string::npos);
+  EXPECT_NE(prom.find("oar_serve_queue_wait_seconds"), std::string::npos);
+  EXPECT_NE(prom.find("oar_serve_batch_assembly_seconds"), std::string::npos);
+
+  // Every reply was delivered before the scrape, so nothing records between
+  // the scrape's gauge refresh and this snapshot.
+  const obs::Snapshot after = obs::MetricsRegistry::instance().snapshot();
+  const auto count_delta = [&](const char* name) {
+    return histogram_sample(after, name).count -
+           histogram_sample(before, name).count;
+  };
+  // max_batch = 1: one queue wait and one assembly per served request.
+  EXPECT_EQ(count_delta("oar_serve_queue_wait_seconds"), kRequests);
+  EXPECT_EQ(count_delta("oar_serve_batch_assembly_seconds"), kRequests);
+  EXPECT_EQ(count_delta("oar_serve_request_latency_seconds"), kRequests);
+
+  // The percentile gauges are quantiles of the scraped latency histogram.
+  const obs::HistogramSample latency =
+      histogram_sample(after, "oar_serve_request_latency_seconds");
+  const double p50 = gauge_value(after, "oar_serve_slo_p50_latency_seconds");
+  const double p99 = gauge_value(after, "oar_serve_slo_p99_latency_seconds");
+  EXPECT_DOUBLE_EQ(p50, obs::histogram_quantile(latency, 0.50));
+  EXPECT_DOUBLE_EQ(p99, obs::histogram_quantile(latency, 0.99));
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, p99);
 }
 
 }  // namespace
