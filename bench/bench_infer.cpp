@@ -12,12 +12,16 @@
 // whole CombMcts episodes in both modes to show the end-to-end win.
 // Results go to stdout and BENCH_infer.json.  `--smoke` shrinks the work
 // for CI; like bench_route there is deliberately no timing assertion on
-// the speedups.  A final section measures the observability tax (metrics
-// kill-switch on vs off, min-of-N alternating rounds); in --smoke mode an
-// overhead above 2% is a hard failure (the obs subsystem's acceptance
-// bound).
+// the speedups.  Full mode gates the engine's cost per voxel at every
+// layer count: 24x24x6 (M not a power of two) may cost at most 1.5x per
+// voxel what 32x32x8 does.  A final section measures the observability tax
+// (metrics kill-switch on vs off, alternated per inference with the
+// measured-first side swapped every pair, median of the paired ratios); in
+// --smoke mode an overhead above 2% is a hard failure (the obs subsystem's
+// acceptance bound).
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -99,6 +103,12 @@ struct SizeReport {
   double engine_ips = 0.0;  // inference-engine inferences/sec
   double speedup = 0.0;
   double max_rel = 0.0;  // worst fsp disagreement
+
+  /// Engine microseconds per thousand voxels of the layout.
+  double engine_us_per_kvoxel() const {
+    const double kvoxels = double(dim) * dim * layers / 1000.0;
+    return 1e6 / std::max(engine_ips, 1e-12) / kvoxels;
+  }
 };
 
 SizeReport bench_size(std::int32_t dim, std::int32_t layers, int state_count,
@@ -192,29 +202,52 @@ struct ObsOverhead {
   double overhead = 0.0;  // fractional slowdown with metrics recording
 };
 
-/// Inference-engine fsp loop with the metrics kill-switch off vs on,
-/// min-of-N alternating rounds (the min filters scheduler noise).
+/// Inference-engine fsp loop with the metrics kill-switch off vs on.  The
+/// two sides alternate per inference, not per block: every state is timed
+/// once with metrics off and once on, back to back, with the side measured
+/// first swapping on each pair, and the overhead is the median of the
+/// per-pair on/off ratios.  Scheduler bursts and frequency drift on a
+/// shared box last far longer than one ~1 ms forward, so they land on both
+/// halves of a pair alike and cancel in its ratio, and the median drops the
+/// few pairs a preemption split.  A full unmeasured pass warms caches and
+/// clocks first.
 ObsOverhead measure_obs_overhead(int state_count, int reps, int rounds) {
+  using Clock = std::chrono::steady_clock;
   const HananGrid grid = make_grid(16, 4, /*pins=*/6, /*seed=*/17);
   util::Rng rng(41);
   const auto states = make_states(grid, state_count, rng);
   rl::SteinerSelector selector;
   selector.net().set_training(false);
-  (void)run_fsp(selector, grid, states, 1);  // warm arena + feature cache
+  (void)run_fsp(selector, grid, states, reps);  // warm-up, unmeasured
 
-  double best_off = 1e300, best_on = 1e300;
-  for (int round = 0; round < rounds; ++round) {
-    obs::set_enabled(false);
-    best_off = std::min(best_off, run_fsp(selector, grid, states, reps).seconds);
-    obs::set_enabled(true);
-    best_on = std::min(best_on, run_fsp(selector, grid, states, reps).seconds);
+  std::vector<double> fsp;
+  std::vector<double> ratios;
+  double total_off = 0.0, total_on = 0.0;
+  for (int round = 0; round < rounds * reps; ++round) {
+    for (const auto& extra : states) {
+      const bool off_first = (ratios.size() % 2) == 0;
+      double off = 0.0, on = 0.0;
+      for (int side = 0; side < 2; ++side) {
+        const bool measure_off = off_first == (side == 0);
+        obs::set_enabled(!measure_off);
+        const Clock::time_point t0 = Clock::now();
+        selector.infer_fsp_into(grid, extra, fsp);
+        (measure_off ? off : on) =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+      }
+      total_off += off;
+      total_on += on;
+      ratios.push_back(on / std::max(off, 1e-12));
+    }
   }
   obs::set_enabled(true);
-  const double inferences = double(states.size()) * reps;
+  const auto median = ratios.begin() + std::ptrdiff_t(ratios.size() / 2);
+  std::nth_element(ratios.begin(), median, ratios.end());
+  const double inferences = double(ratios.size());
   ObsOverhead o;
-  o.off_ips = inferences / std::max(best_off, 1e-12);
-  o.on_ips = inferences / std::max(best_on, 1e-12);
-  o.overhead = best_on / std::max(best_off, 1e-12) - 1.0;
+  o.off_ips = inferences / std::max(total_off, 1e-12);
+  o.on_ips = inferences / std::max(total_on, 1e-12);
+  o.overhead = *median - 1.0;
   return o;
 }
 
@@ -311,10 +344,32 @@ int main(int argc, char** argv) {
               "%5.2fx | max rel %.2e\n",
               small.ref_ips, small.engine_ips, small.speedup, small.max_rel);
 
+  const SizeReport mid = bench_size(24, 6, states, reps_engine, reps_ref);
+  std::printf("  24x24x6 : reference %8.1f inf/s | engine %9.1f inf/s | "
+              "%5.2fx | max rel %.2e\n",
+              mid.ref_ips, mid.engine_ips, mid.speedup, mid.max_rel);
+
   const SizeReport large = bench_size(32, 8, states, reps_engine, reps_ref);
   std::printf("  32x32x8 : reference %8.1f inf/s | engine %9.1f inf/s | "
               "%5.2fx | max rel %.2e\n",
               large.ref_ips, large.engine_ips, large.speedup, large.max_rel);
+
+  // Every layer count runs the register-tiled kernels, so cost per voxel
+  // may not blow up off the powers of two.  Armed in full mode only (smoke
+  // runs too few reps for a stable ratio).
+  const double per_voxel_ratio =
+      mid.engine_us_per_kvoxel() / std::max(large.engine_us_per_kvoxel(), 1e-12);
+  std::printf("  per-voxel cost  : 24x24x6 %.3f us/kvoxel vs 32x32x8 %.3f "
+              "us/kvoxel (%.2fx, gate <= 1.5x)\n",
+              mid.engine_us_per_kvoxel(), large.engine_us_per_kvoxel(),
+              per_voxel_ratio);
+  if (!smoke && per_voxel_ratio > 1.5) {
+    std::fprintf(stderr,
+                 "FATAL: 24x24x6 engine costs %.2fx per voxel of 32x32x8 "
+                 "(bound 1.5x)\n",
+                 per_voxel_ratio);
+    return 1;
+  }
 
   const MctsReport mcts_rep = bench_mcts(smoke ? 2 : 6);
   std::printf("  CombMcts 16x16x4: reference %6.2f episodes/s | engine "
@@ -331,7 +386,7 @@ int main(int argc, char** argv) {
   const ObsOverhead obs_tax =
       measure_obs_overhead(states, reps_engine, /*rounds=*/5);
   std::printf("  obs overhead    : %6.2f%% (metrics on %.1f vs off %.1f "
-              "inf/s, min of 5)%s\n",
+              "inf/s, median of paired ratios)%s\n",
               100.0 * obs_tax.overhead, obs_tax.on_ips, obs_tax.off_ips,
               obs::kMetricsCompiled ? "" : " [compiled out]");
   if (smoke && obs::kMetricsCompiled && obs_tax.overhead > 0.02) {
@@ -348,9 +403,12 @@ int main(int argc, char** argv) {
         "  \"sizes\": [\n"
         "    {\"h\": 16, \"v\": 16, \"m\": 4, \"reference_ips\": %.1f,\n"
         "     \"engine_ips\": %.1f, \"speedup\": %.3f, \"max_rel\": %.3e},\n"
+        "    {\"h\": 24, \"v\": 24, \"m\": 6, \"reference_ips\": %.1f,\n"
+        "     \"engine_ips\": %.1f, \"speedup\": %.3f, \"max_rel\": %.3e},\n"
         "    {\"h\": 32, \"v\": 32, \"m\": 8, \"reference_ips\": %.1f,\n"
         "     \"engine_ips\": %.1f, \"speedup\": %.3f, \"max_rel\": %.3e}\n"
         "  ],\n"
+        "  \"per_voxel_ratio_24x24x6_vs_32x32x8\": %.3f,\n"
         "  \"comb_mcts\": {\"h\": 16, \"v\": 16, \"m\": 4,\n"
         "    \"reference_eps\": %.3f, \"engine_eps\": %.3f, \"speedup\": %.3f},\n"
         "  \"obs_overhead_fraction\": %.6f,\n"
@@ -358,8 +416,9 @@ int main(int argc, char** argv) {
         "  \"smoke\": %s\n"
         "}\n",
         small.ref_ips, small.engine_ips, small.speedup, small.max_rel,
+        mid.ref_ips, mid.engine_ips, mid.speedup, mid.max_rel,
         large.ref_ips, large.engine_ips, large.speedup, large.max_rel,
-        mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup,
+        per_voxel_ratio, mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup,
         obs_tax.overhead, bench::machine_json().c_str(),
         smoke ? "true" : "false");
     std::fclose(f);

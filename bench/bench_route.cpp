@@ -17,11 +17,12 @@
 // assertion on the speedups (CI machines are too noisy for a speedup gate).
 //
 // A final section measures the observability tax: the incremental hot loop
-// with the metrics kill-switch on vs off, min-of-N alternating rounds.  In
-// --smoke mode an overhead above 2% is a hard failure (the obs subsystem's
-// acceptance bound); min-of-N makes the estimate robust to scheduler noise.
+// with the metrics kill-switch on vs off, alternated per build, median of
+// the paired ratios.  In --smoke mode an overhead above 2% is a hard
+// failure (the obs subsystem's acceptance bound).
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -261,35 +262,50 @@ struct ObsOverhead {
   double overhead = 0.0; // fractional slowdown of on vs off
 };
 
-/// Minimum-of-N alternating A/B rounds: the min filters out scheduler and
-/// frequency-scaling noise, alternation keeps cache/allocator state fair.
-/// The side measured first swaps every round — a monotone frequency drift
-/// (e.g. the CPU throttling down after a long test-suite run) otherwise
-/// biases whichever side consistently samples later, and the min cannot
-/// filter a drift that touches every round the same way.
+/// Metrics kill-switch off vs on for the incremental hot loop, alternated
+/// per build, not per block: every selection is built once with metrics off
+/// and once on, back to back, with the side measured first swapping on
+/// each pair, and the overhead is the median of the per-pair on/off ratios.
+/// Scheduler bursts and frequency drift (e.g. the CPU throttling down after
+/// a long test-suite run) last far longer than one build, so they land on
+/// both halves of a pair alike and cancel in its ratio, and the median
+/// drops the few pairs a preemption split.  One unmeasured pass warms up.
 ObsOverhead measure_obs_overhead(
     const hanan::HananGrid& grid,
     const std::vector<std::vector<hanan::Vertex>>& selections, int reps,
     int rounds) {
-  const double total_builds = double(selections.size()) * reps;
+  using Clock = std::chrono::steady_clock;
   run_builds(grid, Mode::kIncremental, selections, reps);  // warmup, unmeasured
-  double best_off = 1e300, best_on = 1e300;
-  for (int round = 0; round < rounds; ++round) {
-    const bool off_first = (round % 2) == 0;
-    for (int side = 0; side < 2; ++side) {
-      const bool measure_off = off_first == (side == 0);
-      oar::obs::set_enabled(!measure_off);
-      const double s =
-          run_builds(grid, Mode::kIncremental, selections, reps).seconds;
-      (measure_off ? best_off : best_on) =
-          std::min(measure_off ? best_off : best_on, s);
+  route::OarmstConfig cfg;
+  cfg.incremental = true;
+  const route::OarmstRouter router(grid, cfg);
+  std::vector<double> ratios;
+  double total_off = 0.0, total_on = 0.0;
+  for (int round = 0; round < rounds * reps; ++round) {
+    for (const auto& selection : selections) {
+      const bool off_first = (ratios.size() % 2) == 0;
+      double off = 0.0, on = 0.0;
+      for (int side = 0; side < 2; ++side) {
+        const bool measure_off = off_first == (side == 0);
+        oar::obs::set_enabled(!measure_off);
+        const Clock::time_point t0 = Clock::now();
+        (void)router.cost(grid.pins(), selection);
+        (measure_off ? off : on) =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+      }
+      total_off += off;
+      total_on += on;
+      ratios.push_back(on / std::max(off, 1e-12));
     }
   }
   oar::obs::set_enabled(true);
+  const auto median = ratios.begin() + std::ptrdiff_t(ratios.size() / 2);
+  std::nth_element(ratios.begin(), median, ratios.end());
+  const double total_builds = double(ratios.size());
   ObsOverhead o;
-  o.off_bps = total_builds / std::max(best_off, 1e-12);
-  o.on_bps = total_builds / std::max(best_on, 1e-12);
-  o.overhead = best_on / std::max(best_off, 1e-12) - 1.0;
+  o.off_bps = total_builds / std::max(total_off, 1e-12);
+  o.on_bps = total_builds / std::max(total_on, 1e-12);
+  o.overhead = *median - 1.0;
   return o;
 }
 
@@ -362,7 +378,7 @@ int main(int argc, char** argv) {
   const ObsOverhead obs_tax =
       measure_obs_overhead(grid, selections, reps, /*rounds=*/5);
   std::printf("  obs overhead   : %10.2f%% (metrics on %0.1f vs off %0.1f "
-              "builds/sec, min of 5)%s\n",
+              "builds/sec, median of paired ratios)%s\n",
               100.0 * obs_tax.overhead, obs_tax.on_bps, obs_tax.off_bps,
               obs::kMetricsCompiled ? "" : " [compiled out]");
   if (smoke && obs::kMetricsCompiled && obs_tax.overhead > 0.02) {

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "hanan/features.hpp"
-#include "nn/activations.hpp"
-#include "nn/inference.hpp"
 #include "obs/metrics.hpp"
 #include "util/validate.hpp"
 
@@ -28,11 +25,11 @@ EvalObs& eval_obs() {
       reg.gauge("oar_mcts_eval_queue_depth",
                 "Leaf evaluations waiting in the EvalServer queue"),
       reg.histogram("oar_mcts_eval_batch_occupancy", obs::pow2_buckets(8),
-                    "Same-shape requests fused per EvalServer forward"),
+                    "Same-shape requests drained per EvalServer batch"),
       reg.counter("oar_mcts_eval_requests_total",
                   "Leaf evaluations submitted to the EvalServer"),
       reg.counter("oar_mcts_eval_batches_total",
-                  "Batched forwards run by the EvalServer drain thread"),
+                  "Micro-batches run by the EvalServer drain thread"),
       reg.counter("oar_mcts_eval_flush_timeouts_total",
                   "Undersized EvalServer batches flushed on timeout"),
       reg.counter("oar_mcts_eval_deadline_cancelled_total",
@@ -218,62 +215,14 @@ void EvalServer::run_batch(std::vector<Request> batch) {
   o.batch_occupancy.observe(double(batch.size()));
 
   try {
-    const hanan::HananGrid& g = *batch.front().grid;
-    const std::int32_t kC = hanan::kNumFeatureChannels;
-    const std::int64_t in_numel =
-        std::int64_t(kC) * g.h_dim() * g.v_dim() * g.m_dim();
-    nn::UNet3d& net = selector_.net();
-
-    if (selector_.int8_active()) {
-      // The quantized engine is single-sample; serve the batch as a loop
-      // of int8 forwards.  Each runs the same quantize + integer kernels
-      // as SteinerSelector::infer_fsp_into on identical feature bits, so
-      // the 1-worker ≡ serial anchor is preserved.
-      for (Request& r : batch) {
-        const hanan::HananGrid& rg = *r.grid;
-        selector_.infer_fsp_from_features(r.features, rg.h_dim(), rg.v_dim(),
-                                          rg.m_dim(), *r.out);
-      }
-      for (Request& r : batch) r.done.set_value();
-      return;
-    }
-
-    if (batch.size() == 1) {
-      // Bitwise single-sample path: identical arithmetic to
-      // SteinerSelector::infer_fsp_into on the same feature bits.
-      Request& r = batch.front();
-      std::vector<double>& out = *r.out;
-      if (!net.training()) {
-        nn::InferenceScratch& arena = net.inference_scratch();
-        arena.rewind();  // infer() never rewinds, the input slot survives
-        nn::Tensor& input = arena.push({kC, g.h_dim(), g.v_dim(), g.m_dim()});
-        std::copy(r.features, r.features + in_numel, input.data());
-        const nn::Tensor& logits = net.infer(input);
-        out.resize(std::size_t(logits.numel()));
-        nn::sigmoid_into(logits.data(), logits.numel(), out.data());
-      } else {
-        nn::Tensor input({kC, g.h_dim(), g.v_dim(), g.m_dim()});
-        std::copy(r.features, r.features + in_numel, input.data());
-        const nn::Tensor logits = net.forward(input);
-        out.resize(std::size_t(logits.numel()));
-        nn::sigmoid_into(logits.data(), logits.numel(), out.data());
-      }
-    } else {
-      const std::int32_t n = std::int32_t(batch.size());
-      batch_input_.reset_shape({n, kC, g.h_dim(), g.v_dim(), g.m_dim()});
-      for (std::int32_t i = 0; i < n; ++i) {
-        std::copy(batch[std::size_t(i)].features,
-                  batch[std::size_t(i)].features + in_numel,
-                  batch_input_.data() + std::int64_t(i) * in_numel);
-      }
-      const nn::Tensor logits = net.forward_batch(batch_input_);  // (N,1,H,V,M)
-      const std::int64_t out_numel = logits.numel() / n;
-      for (std::int32_t i = 0; i < n; ++i) {
-        std::vector<double>& out = *batch[std::size_t(i)].out;
-        out.resize(std::size_t(out_numel));
-        nn::sigmoid_into(logits.data() + std::int64_t(i) * out_numel, out_numel,
-                         out.data());
-      }
+    // Every request runs the single-sample engine on its own feature bits
+    // — the same arithmetic as SteinerSelector::infer_fsp_into — so a reply
+    // is bitwise independent of the batch it was fused into, and the
+    // 1-worker ≡ serial anchor holds at any eval_batch.
+    for (Request& r : batch) {
+      const hanan::HananGrid& g = *r.grid;
+      selector_.infer_fsp_from_features(r.features, g.h_dim(), g.v_dim(),
+                                        g.m_dim(), *r.out);
     }
     for (Request& r : batch) r.done.set_value();
   } catch (...) {

@@ -6,16 +6,17 @@
 // K search workers produce leaf feature volumes (each worker encodes its
 // own state through a private hanan::FeatureCache) and block on a future;
 // one drain thread groups queued same-shape requests into micro-batches of
-// up to `eval_batch`, runs ONE network pass per batch, and completes the
-// futures with per-request fsp (sigmoid probabilities in priority order).
+// up to `eval_batch` and completes the futures with per-request fsp
+// (sigmoid probabilities in priority order).
 //
 // Contracts:
-//   * Batch of one runs the single-sample inference engine (UNet3d::infer
-//     on the selector's arena), so its output is BITWISE identical to the
-//     serial selector path — the anchor of the single-worker-equals-serial
-//     property of ParallelCombMcts.  Batches of two or more run
-//     Module::forward_batch (GEMM kernels) and match singles to the
-//     serving layer's established tolerance, not bitwise.
+//   * Every request of a batch runs the single-sample inference engine
+//     (UNet3d::infer on the selector's arena, or the int8 engine when it
+//     is active), so each output is BITWISE identical to the serial
+//     selector path whatever batch it was fused into — the anchor of the
+//     single-worker-equals-serial property of ParallelCombMcts.  The batch
+//     is a scheduling unit (one queue pass, one wake-up), not a stacked
+//     tensor forward.
 //   * The queue is bounded: submit() blocks (never drops) while
 //     `queue_capacity` requests are waiting — backpressure, so a fast
 //     producer cannot grow memory without bound.
@@ -62,7 +63,7 @@ struct EvalCancelled : std::runtime_error {
 };
 
 struct EvalServerConfig {
-  /// Maximum same-shape requests fused into one batched forward.
+  /// Maximum same-shape requests drained as one batch.
   std::int32_t eval_batch = 8;
   /// How long the drain thread waits for same-shape stragglers before
   /// running an undersized batch (flush-on-timeout).
@@ -108,8 +109,8 @@ class EvalServer {
   /// Point-in-time counters (test/diagnostic hook; exact once quiescent).
   struct Stats {
     std::uint64_t requests = 0;        // submitted
-    std::uint64_t batches = 0;         // forwards run (any size)
-    std::uint64_t single_batches = 0;  // batches that ran the bitwise path
+    std::uint64_t batches = 0;         // batches drained (any size)
+    std::uint64_t single_batches = 0;  // batches of exactly one request
     std::uint64_t max_batch = 0;       // largest batch fused so far
     std::uint64_t flush_timeouts = 0;  // undersized batches run on timeout
     std::uint64_t cancelled = 0;       // futures failed by shutdown(true)
@@ -144,7 +145,6 @@ class EvalServer {
   bool cancel_pending_ = false;
   Stats stats_;
 
-  nn::Tensor batch_input_;  // (N, C, H, V, M) staging, high-water retained
   std::thread drain_;
 };
 

@@ -22,10 +22,6 @@ class Conv3d : public Module {
   /// no retention).
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// (N, IC, D0, D1, D2) -> (N, OC, O0, O1, O2).  Unlike the looped base
-  /// default, this runs one im2col + register-blocked GEMM over the whole
-  /// batch — the kernel the serving layer's micro-batching amortizes.
-  Tensor forward_batch(const Tensor& input) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   /// Single-sample inference kernel: convolves the (in_channels, D0, D1,

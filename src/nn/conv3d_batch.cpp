@@ -1,92 +1,50 @@
 #include <algorithm>
-#include <vector>
 
 #include "nn/conv3d.hpp"
 #include "nn/inference.hpp"
 
-// Batched convolution kernels.  Kept in their own translation unit so the
-// build can compile just this file with wider vector flags (see
-// src/nn/CMakeLists.txt) without touching the training path's numerics: the
-// single-sample forward/backward in conv3d.cpp stay on the default flags.
+// Inference-engine convolution kernels (DESIGN.md §11).  Kept in their own
+// translation unit so the build can compile just this file with wider
+// vector flags (see src/nn/CMakeLists.txt) without touching the training
+// path's numerics: the training forward/backward in conv3d.cpp stay on the
+// default flags.
 //
-// For the channel counts the U-Net instantiates we run a direct convolution
-// with a register tile of TILE output voxels (a run along the innermost,
-// layer axis) x OC accumulators; both extents are template constants so the
-// accumulators live in registers and the per-weight axpy fully unrolls.
-// This beats im2col here because routing volumes are shallow (M ~ 2..8): the
-// contiguous runs im2col copies are only M long, so patch assembly costs as
-// much as the GEMM it feeds.  Other channel counts fall back to an im2col +
-// register-blocked GEMM that handles any OC.
+// For the 3x3x3 same-pad layers at the channel counts the U-Net
+// instantiates we run a direct convolution along the innermost (layer)
+// axis: a register tile of TILE output voxels x OC accumulators, both
+// template constants, so the accumulators stay in registers and the
+// per-weight axpy fully unrolls.  This beats im2col here because routing
+// volumes are shallow (M ~ 2..12): the contiguous runs im2col copies are
+// only M long, so patch assembly costs as much as the GEMM it feeds.  Every
+// other kernel size and channel count falls back to an im2col +
+// register-blocked GEMM that handles any shape.
 
 namespace oar::nn {
 
 namespace {
 
-/// Accumulate one (TILE output voxels) x OC register tile at output line
-/// position t: out voxels (n, :, o0, o1, t..t+TILE).  Weights arrive
-/// transposed as wt(kk, oc) with kk = (ic, k0, k1, k2) so the accumulation
-/// order matches the single-sample forward.
-template <std::int32_t OC, std::int32_t TILE>
-inline void conv_tile(const float* in_sample_ptr, const float* wt, const float* bias,
-                      float* out_line, std::int32_t IC, std::int32_t D0,
-                      std::int32_t D1, std::int32_t D2, std::int32_t kernel,
-                      std::int32_t pad, std::int32_t o0, std::int32_t o1,
-                      std::int32_t t, std::int64_t out_chan) {
-  const std::int64_t in_plane = std::int64_t(D1) * D2;
-  const std::int64_t in_chan = std::int64_t(D0) * in_plane;
+/// Longest run of layer-axis outputs one register tile covers.  Lines up to
+/// this long are one full-line tile; longer ones are cut into segments.
+constexpr std::int32_t kMaxLineTile = 8;
 
-  float a[TILE][OC];
-  for (std::int32_t j = 0; j < TILE; ++j) {
-    for (std::int32_t oc = 0; oc < OC; ++oc) a[j][oc] = bias[oc];
-  }
-
-  const float* wk = wt;
-  for (std::int32_t ic = 0; ic < IC; ++ic) {
-    const float* ichan = in_sample_ptr + ic * in_chan;
-    for (std::int32_t k0 = 0; k0 < kernel; ++k0) {
-      const std::int32_t z0 = o0 + k0 - pad;
-      for (std::int32_t k1 = 0; k1 < kernel; ++k1) {
-        const std::int32_t z1 = o1 + k1 - pad;
-        if (z0 < 0 || z0 >= D0 || z1 < 0 || z1 >= D1) {
-          wk += std::size_t(kernel) * OC;
-          continue;
-        }
-        const float* L = ichan + std::int64_t(z0) * in_plane + std::int64_t(z1) * D2;
-        for (std::int32_t k2 = 0; k2 < kernel; ++k2, wk += OC) {
-          const std::int32_t z2_base = t + k2 - pad;
-          const float* __restrict__ w = wk;
-          for (std::int32_t j = 0; j < TILE; ++j) {
-            const std::int32_t z2 = z2_base + j;
-            if (std::uint32_t(z2) >= std::uint32_t(D2)) continue;
-            const float s = L[z2];
-            // Skipping zero activations only pays once the axpy is wide
-            // enough to outweigh the branch.
-            if (OC >= 16 && s == 0.0f) continue;
-            for (std::int32_t oc = 0; oc < OC; ++oc) a[j][oc] += s * w[oc];
-          }
-        }
-      }
-    }
-  }
-
-  // Scatter to the channel-major output: out(oc, o0, o1, t + j).
-  for (std::int32_t oc = 0; oc < OC; ++oc) {
-    float* orow = out_line + oc * out_chan;
-    for (std::int32_t j = 0; j < TILE; ++j) orow[j] = a[j][oc];
-  }
-}
-
-/// Full-line specialization for 3x3x3 same-padding convolutions whose
-/// innermost (layer) extent is exactly TILE: every k2 tap then has
-/// compile-time valid j bounds, so the whole accumulate is branch-free and
-/// the tile never leaves registers.  This is the shape the router serves
-/// constantly — shallow volumes with M = D2 in {1, 2, 4, 8}.
+/// 3x3x3 same-pad convolution of TILE consecutive outputs of one layer-axis
+/// line: out voxels (:, o0, o1, t..t+TILE) of a line D2 long.  Weights
+/// arrive transposed as wt(kk, oc) with kk = (ic, k0, k1, k2).  Inside the
+/// segment every k2 tap has compile-time j bounds; the only halo checks sit
+/// at the two segment ends — `lo`: the input voxel t-1 exists, `hi`: the
+/// input voxel t+TILE exists — and both are false for a full-line tile
+/// (t = 0, TILE = D2), whose call sites pass them as constants so the
+/// checks fold away.  Each output element accumulates in (ic, k0, k1, k2)
+/// order, the order of the training forward.
+///
+/// The scalar variant keeps a[TILE][OC] on the stack; it serves the
+/// channel counts too wide for one vector per output voxel.
 template <std::int32_t OC, std::int32_t TILE>
 inline void conv_line3(const float* in_sample_ptr, const float* wt,
                        const float* bias, float* out_line, std::int32_t IC,
-                       std::int32_t D0, std::int32_t D1, std::int32_t o0,
-                       std::int32_t o1, std::int64_t out_chan) {
-  constexpr std::int32_t D2 = TILE;
+                       std::int32_t D0, std::int32_t D1, std::int32_t D2,
+                       std::int32_t o0, std::int32_t o1, std::int32_t t,
+                       bool lo, bool hi, std::int64_t out_chan) {
   const std::int64_t in_plane = std::int64_t(D1) * D2;
   const std::int64_t in_chan = std::int64_t(D0) * in_plane;
 
@@ -103,10 +61,15 @@ inline void conv_line3(const float* in_sample_ptr, const float* wt,
       for (std::int32_t k1 = 0; k1 < 3; ++k1, wk += 3 * OC) {
         const std::int32_t z1 = o1 + k1 - 1;
         if (z0 < 0 || z0 >= D0 || z1 < 0 || z1 >= D1) continue;
-        const float* L = ichan + std::int64_t(z0) * in_plane + std::int64_t(z1) * D2;
+        const float* L =
+            ichan + std::int64_t(z0) * in_plane + std::int64_t(z1) * D2 + t;
         const float* __restrict__ w0 = wk;            // k2 = 0: z2 = j - 1
         const float* __restrict__ w1 = wk + OC;       // k2 = 1: z2 = j
         const float* __restrict__ w2 = wk + 2 * OC;   // k2 = 2: z2 = j + 1
+        if (lo) {
+          const float s = L[-1];
+          for (std::int32_t oc = 0; oc < OC; ++oc) a[0][oc] += s * w0[oc];
+        }
         for (std::int32_t j = 1; j < TILE; ++j) {
           const float s = L[j - 1];
           for (std::int32_t oc = 0; oc < OC; ++oc) a[j][oc] += s * w0[oc];
@@ -118,6 +81,10 @@ inline void conv_line3(const float* in_sample_ptr, const float* wt,
         for (std::int32_t j = 0; j < TILE - 1; ++j) {
           const float s = L[j + 1];
           for (std::int32_t oc = 0; oc < OC; ++oc) a[j][oc] += s * w2[oc];
+        }
+        if (hi) {
+          const float s = L[TILE];
+          for (std::int32_t oc = 0; oc < OC; ++oc) a[TILE - 1][oc] += s * w2[oc];
         }
       }
     }
@@ -143,10 +110,10 @@ inline void conv_line3(const float* in_sample_ptr, const float* wt,
 template <std::int32_t OC, std::int32_t TILE>
 inline void conv_line3_vec(const float* in_sample_ptr, const float* wt,
                            const float* bias, float* out_line, std::int32_t IC,
-                           std::int32_t D0, std::int32_t D1, std::int32_t o0,
-                           std::int32_t o1, std::int64_t out_chan) {
+                           std::int32_t D0, std::int32_t D1, std::int32_t D2,
+                           std::int32_t o0, std::int32_t o1, std::int32_t t,
+                           bool lo, bool hi, std::int64_t out_chan) {
   typedef float Vec __attribute__((vector_size(OC * sizeof(float))));
-  constexpr std::int32_t D2 = TILE;
   const std::int64_t in_plane = std::int64_t(D1) * D2;
   const std::int64_t in_chan = std::int64_t(D0) * in_plane;
 
@@ -163,14 +130,17 @@ inline void conv_line3_vec(const float* in_sample_ptr, const float* wt,
       for (std::int32_t k1 = 0; k1 < 3; ++k1, wk += 3 * OC) {
         const std::int32_t z1 = o1 + k1 - 1;
         if (z0 < 0 || z0 >= D0 || z1 < 0 || z1 >= D1) continue;
-        const float* L = ichan + std::int64_t(z0) * in_plane + std::int64_t(z1) * D2;
+        const float* L =
+            ichan + std::int64_t(z0) * in_plane + std::int64_t(z1) * D2 + t;
         Vec w0, w1, w2;  // k2 = 0/1/2 taps: z2 = j - 1 / j / j + 1
         __builtin_memcpy(&w0, wk, sizeof(w0));
         __builtin_memcpy(&w1, wk + OC, sizeof(w1));
         __builtin_memcpy(&w2, wk + 2 * OC, sizeof(w2));
+        if (lo) a[0] += L[-1] * w0;
         for (std::int32_t j = 1; j < TILE; ++j) a[j] += L[j - 1] * w0;
         for (std::int32_t j = 0; j < TILE; ++j) a[j] += L[j] * w1;
         for (std::int32_t j = 0; j < TILE - 1; ++j) a[j] += L[j + 1] * w2;
+        if (hi) a[TILE - 1] += L[TILE] * w2;
       }
     }
   }
@@ -189,87 +159,77 @@ template <std::int32_t OC, std::int32_t TILE>
 inline void conv_line3_dispatch(const float* in_sample_ptr, const float* wt,
                                 const float* bias, float* out_line,
                                 std::int32_t IC, std::int32_t D0,
-                                std::int32_t D1, std::int32_t o0,
-                                std::int32_t o1, std::int64_t out_chan) {
+                                std::int32_t D1, std::int32_t D2,
+                                std::int32_t o0, std::int32_t o1,
+                                std::int32_t t, bool lo, bool hi,
+                                std::int64_t out_chan) {
 #ifdef OAR_CONV_VEC_EXT
   if constexpr (OC == 8 || OC == 16) {
-    conv_line3_vec<OC, TILE>(in_sample_ptr, wt, bias, out_line, IC, D0, D1, o0,
-                             o1, out_chan);
+    conv_line3_vec<OC, TILE>(in_sample_ptr, wt, bias, out_line, IC, D0, D1, D2,
+                             o0, o1, t, lo, hi, out_chan);
     return;
   }
 #endif
-  conv_line3<OC, TILE>(in_sample_ptr, wt, bias, out_line, IC, D0, D1, o0, o1,
-                       out_chan);
+  conv_line3<OC, TILE>(in_sample_ptr, wt, bias, out_line, IC, D0, D1, D2, o0,
+                       o1, t, lo, hi, out_chan);
 }
 
-template <std::int32_t OC>
-void direct_conv(const float* in, const float* wt, const float* bias, float* out,
-                 std::int32_t N, std::int32_t IC, std::int32_t D0, std::int32_t D1,
-                 std::int32_t D2, std::int32_t kernel, std::int32_t pad,
-                 std::int32_t O0, std::int32_t O1, std::int32_t O2) {
-  const std::int64_t in_sample = std::int64_t(IC) * D0 * D1 * D2;
-  const std::int64_t out_chan = std::int64_t(O0) * O1 * O2;
-  const std::int64_t out_sample = std::int64_t(OC) * out_chan;
-  const std::int64_t out_plane = std::int64_t(O1) * O2;
-
-  if (kernel == 3 && pad == 1 && O2 == D2 &&
-      (D2 == 1 || D2 == 2 || D2 == 4 || D2 == 8)) {
-    for (std::int32_t n = 0; n < N; ++n) {
-      const float* isample = in + n * in_sample;
-      float* osample = out + n * out_sample;
-      for (std::int32_t o0 = 0; o0 < O0; ++o0) {
-        for (std::int32_t o1 = 0; o1 < O1; ++o1) {
-          float* oline =
-              osample + std::int64_t(o0) * out_plane + std::int64_t(o1) * O2;
-          switch (D2) {
-            case 1:
-              conv_line3_dispatch<OC, 1>(isample, wt, bias, oline, IC, D0, D1, o0, o1,
-                                out_chan);
-              break;
-            case 2:
-              conv_line3_dispatch<OC, 2>(isample, wt, bias, oline, IC, D0, D1, o0, o1,
-                                out_chan);
-              break;
-            case 4:
-              conv_line3_dispatch<OC, 4>(isample, wt, bias, oline, IC, D0, D1, o0, o1,
-                                out_chan);
-              break;
-            default:
-              conv_line3_dispatch<OC, 8>(isample, wt, bias, oline, IC, D0, D1, o0, o1,
-                                out_chan);
-              break;
-          }
-        }
+/// Outputs t..t+TILE of every line of the volume.  When the segment is the
+/// whole line (t = 0, TILE = D2) the halo flags are passed as constants so
+/// the kernel compiles without any halo check.
+template <std::int32_t OC, std::int32_t TILE>
+void conv_lines3(const float* in, const float* wt, const float* bias,
+                 float* out, std::int32_t IC, std::int32_t D0, std::int32_t D1,
+                 std::int32_t D2, std::int32_t t) {
+  const std::int64_t out_plane = std::int64_t(D1) * D2;
+  const std::int64_t out_chan = std::int64_t(D0) * out_plane;
+  const bool lo = t > 0;
+  const bool hi = t + TILE < D2;
+  for (std::int32_t o0 = 0; o0 < D0; ++o0) {
+    for (std::int32_t o1 = 0; o1 < D1; ++o1) {
+      float* oline =
+          out + std::int64_t(o0) * out_plane + std::int64_t(o1) * D2 + t;
+      if (!lo && !hi) {
+        conv_line3_dispatch<OC, TILE>(in, wt, bias, oline, IC, D0, D1, D2, o0,
+                                      o1, t, false, false, out_chan);
+      } else {
+        conv_line3_dispatch<OC, TILE>(in, wt, bias, oline, IC, D0, D1, D2, o0,
+                                      o1, t, lo, hi, out_chan);
       }
     }
-    return;
   }
+}
 
-  for (std::int32_t n = 0; n < N; ++n) {
-    const float* isample = in + n * in_sample;
-    float* osample = out + n * out_sample;
-    for (std::int32_t o0 = 0; o0 < O0; ++o0) {
-      for (std::int32_t o1 = 0; o1 < O1; ++o1) {
-        float* oline = osample + std::int64_t(o0) * out_plane + std::int64_t(o1) * O2;
-        std::int32_t t = 0;
-        for (; t + 8 <= O2; t += 8) {
-          conv_tile<OC, 8>(isample, wt, bias, oline + t, IC, D0, D1, D2, kernel,
-                           pad, o0, o1, t, out_chan);
-        }
-        for (; t + 4 <= O2; t += 4) {
-          conv_tile<OC, 4>(isample, wt, bias, oline + t, IC, D0, D1, D2, kernel,
-                           pad, o0, o1, t, out_chan);
-        }
-        for (; t + 2 <= O2; t += 2) {
-          conv_tile<OC, 2>(isample, wt, bias, oline + t, IC, D0, D1, D2, kernel,
-                           pad, o0, o1, t, out_chan);
-        }
-        for (; t < O2; ++t) {
-          conv_tile<OC, 1>(isample, wt, bias, oline + t, IC, D0, D1, D2, kernel,
-                           pad, o0, o1, t, out_chan);
-        }
-      }
-    }
+/// One segment of `len` (1..kMaxLineTile) outputs starting at t on every
+/// line, with `len` lifted to a template constant.
+template <std::int32_t OC>
+void conv_segment3(const float* in, const float* wt, const float* bias,
+                   float* out, std::int32_t IC, std::int32_t D0,
+                   std::int32_t D1, std::int32_t D2, std::int32_t t,
+                   std::int32_t len) {
+  static_assert(kMaxLineTile == 8, "one case per segment length");
+  switch (len) {
+    case 1: conv_lines3<OC, 1>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    case 2: conv_lines3<OC, 2>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    case 3: conv_lines3<OC, 3>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    case 4: conv_lines3<OC, 4>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    case 5: conv_lines3<OC, 5>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    case 6: conv_lines3<OC, 6>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    case 7: conv_lines3<OC, 7>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+    default: conv_lines3<OC, 8>(in, wt, bias, out, IC, D0, D1, D2, t); break;
+  }
+}
+
+/// 3x3x3 same-pad convolution of one (IC, D0, D1, D2) sample for any layer
+/// count D2 >= 1: each line runs as segments of at most kMaxLineTile
+/// outputs — one full-line tile when D2 <= kMaxLineTile.
+template <std::int32_t OC>
+void direct_conv3(const float* in, const float* wt, const float* bias,
+                  float* out, std::int32_t IC, std::int32_t D0, std::int32_t D1,
+                  std::int32_t D2) {
+  for (std::int32_t t = 0; t < D2; t += kMaxLineTile) {
+    conv_segment3<OC>(in, wt, bias, out, IC, D0, D1, D2, t,
+                      std::min(kMaxLineTile, D2 - t));
   }
 }
 
@@ -277,23 +237,17 @@ void direct_conv(const float* in, const float* wt, const float* bias, float* out
 /// contiguous, so an axpy per (oc, ic) pair vectorizes without any patch
 /// assembly.  Handles the output head and every residual projection.
 void pointwise_conv(const float* in, const float* w, const float* bias,
-                    float* out, std::int32_t N, std::int32_t IC, std::int32_t OC,
+                    float* out, std::int32_t IC, std::int32_t OC,
                     std::int64_t spatial) {
-  const std::int64_t in_sample = std::int64_t(IC) * spatial;
-  const std::int64_t out_sample = std::int64_t(OC) * spatial;
-  for (std::int32_t n = 0; n < N; ++n) {
-    const float* isample = in + n * in_sample;
-    float* osample = out + n * out_sample;
-    for (std::int32_t oc = 0; oc < OC; ++oc) {
-      float* __restrict__ orow = osample + oc * spatial;
-      const float b = bias[oc];
-      for (std::int64_t i = 0; i < spatial; ++i) orow[i] = b;
-      for (std::int32_t ic = 0; ic < IC; ++ic) {
-        const float s = w[std::int64_t(oc) * IC + ic];
-        if (s == 0.0f) continue;
-        const float* __restrict__ irow = isample + ic * spatial;
-        for (std::int64_t i = 0; i < spatial; ++i) orow[i] += s * irow[i];
-      }
+  for (std::int32_t oc = 0; oc < OC; ++oc) {
+    float* __restrict__ orow = out + oc * spatial;
+    const float b = bias[oc];
+    for (std::int64_t i = 0; i < spatial; ++i) orow[i] = b;
+    for (std::int32_t ic = 0; ic < IC; ++ic) {
+      const float s = w[std::int64_t(oc) * IC + ic];
+      if (s == 0.0f) continue;
+      const float* __restrict__ irow = in + ic * spatial;
+      for (std::int64_t i = 0; i < spatial; ++i) orow[i] += s * irow[i];
     }
   }
 }
@@ -351,42 +305,36 @@ void gemm_block_generic(const float* col, std::int64_t rows, std::int64_t K,
 }
 
 void im2col_conv(const float* in, const float* wt, const float* bias, float* out,
-                 std::int32_t N, std::int32_t IC, std::int32_t D0, std::int32_t D1,
+                 std::int32_t IC, std::int32_t D0, std::int32_t D1,
                  std::int32_t D2, std::int32_t kernel, std::int32_t pad,
                  std::int32_t O0, std::int32_t O1, std::int32_t O2,
                  std::int32_t OC, InferenceScratch& ws) {
   const std::int64_t in_plane = std::int64_t(D1) * D2;
   const std::int64_t in_chan = std::int64_t(D0) * in_plane;
-  const std::int64_t in_sample = std::int64_t(IC) * in_chan;
   const std::int64_t out_chan = std::int64_t(O0) * O1 * O2;
-  const std::int64_t out_sample = std::int64_t(OC) * out_chan;
   const std::int64_t k3 = std::int64_t(kernel) * kernel * kernel;
   const std::int64_t K = std::int64_t(IC) * k3;
-  const std::int64_t rows_total = std::int64_t(N) * out_chan;
 
   float* col = ws.col(std::size_t(kRowBlock) * std::size_t(K));
   float* prod = ws.prod(std::size_t(kRowBlock) * std::size_t(OC));
   float* acc = ws.acc(std::size_t(OC) * 4);
 
-  for (std::int64_t r0 = 0; r0 < rows_total; r0 += kRowBlock) {
-    const std::int64_t rblk = std::min(kRowBlock, rows_total - r0);
+  for (std::int64_t r0 = 0; r0 < out_chan; r0 += kRowBlock) {
+    const std::int64_t rblk = std::min(kRowBlock, out_chan - r0);
 
-    // im2col: one row per (sample, output voxel); padding stays zero.
+    // im2col: one row per output voxel; padding stays zero.
     std::fill(col, col + rblk * K, 0.0f);
     for (std::int64_t r = 0; r < rblk; ++r) {
-      const std::int64_t row = r0 + r;
-      const std::int32_t n = std::int32_t(row / out_chan);
-      const std::int64_t s = row % out_chan;
+      const std::int64_t s = r0 + r;
       const std::int32_t o0 = std::int32_t(s / (std::int64_t(O1) * O2));
       const std::int32_t o1 = std::int32_t((s / O2) % O1);
       const std::int32_t o2 = std::int32_t(s % O2);
       float* crow = col + r * K;
-      const float* isample = in + n * in_sample;
       const std::int32_t k2_lo = std::max(0, pad - o2);
       const std::int32_t k2_hi = std::min(kernel, D2 + pad - o2);
       if (k2_lo >= k2_hi) continue;
       for (std::int32_t ic = 0; ic < IC; ++ic) {
-        const float* ichan = isample + ic * in_chan;
+        const float* ichan = in + ic * in_chan;
         float* cchan = crow + ic * k3;
         for (std::int32_t k0 = 0; k0 < kernel; ++k0) {
           const std::int32_t z0 = o0 + k0 - pad;
@@ -407,10 +355,7 @@ void im2col_conv(const float* in, const float* wt, const float* bias, float* out
 
     // Scatter (row, oc) back to the channel-major output layout.
     for (std::int64_t r = 0; r < rblk; ++r) {
-      const std::int64_t row = r0 + r;
-      const std::int32_t n = std::int32_t(row / out_chan);
-      const std::int64_t s = row % out_chan;
-      float* obase = out + n * out_sample + s;
+      float* obase = out + r0 + r;
       const float* p = prod + r * OC;
       for (std::int32_t oc = 0; oc < OC; ++oc) {
         obase[std::int64_t(oc) * out_chan] = p[oc];
@@ -419,73 +364,14 @@ void im2col_conv(const float* in, const float* wt, const float* bias, float* out
   }
 }
 
-/// Shared tail of forward_batch and the single-sample infer_into fast path:
-/// transpose the weights to (K, OC) in the workspace, then dispatch the
-/// register-tiled kernel for the known channel counts or the im2col
-/// fallback.  The kk = (ic, k0, k1, k2) accumulation order matches the
-/// single-sample training forward, keeping the two paths numerically
-/// aligned up to flag-dependent FP contraction in this translation unit.
-void conv_dispatch(const float* in, const float* w, const float* bias, float* o,
-                   std::int32_t N, std::int32_t IC, std::int32_t OC,
-                   std::int32_t D0, std::int32_t D1, std::int32_t D2,
-                   std::int32_t kernel, std::int32_t pad, std::int32_t O0,
-                   std::int32_t O1, std::int32_t O2, InferenceScratch& ws) {
-  if (kernel == 1 && pad == 0) {
-    pointwise_conv(in, w, bias, o, N, IC, OC, std::int64_t(O0) * O1 * O2);
-    return;
-  }
-
-  const std::int64_t K = std::int64_t(IC) * kernel * kernel * kernel;
-  float* wt = ws.wt(std::size_t(K) * std::size_t(OC));
-  for (std::int32_t oc = 0; oc < OC; ++oc) {
-    for (std::int64_t kk = 0; kk < K; ++kk) {
-      wt[std::size_t(kk) * std::size_t(OC) + std::size_t(oc)] = w[oc * K + kk];
-    }
-  }
-
-  switch (OC) {
-    case 1:
-      direct_conv<1>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 8:
-      direct_conv<8>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 16:
-      direct_conv<16>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 32:
-      direct_conv<32>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 64:
-      direct_conv<64>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    default:
-      im2col_conv(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2,
-                  OC, ws);
-      break;
-  }
-}
-
 }  // namespace
 
-Tensor Conv3d::forward_batch(const Tensor& input) {
-  assert(input.dim() == 5);
-  assert(input.shape(1) == in_channels_);
-
-  const std::int32_t N = input.shape(0);
-  const std::int32_t D0 = input.shape(2), D1 = input.shape(3), D2 = input.shape(4);
-  const std::int32_t O0 = D0 + 2 * padding_ - kernel_ + 1;
-  const std::int32_t O1 = D1 + 2 * padding_ - kernel_ + 1;
-  const std::int32_t O2 = D2 + 2 * padding_ - kernel_ + 1;
-  assert(O0 > 0 && O1 > 0 && O2 > 0);
-
-  Tensor out({N, out_channels_, O0, O1, O2});
-  conv_dispatch(input.data(), weight_.value.data(), bias_.value.data(),
-                out.data(), N, in_channels_, out_channels_, D0, D1, D2, kernel_,
-                padding_, O0, O1, O2, local_inference_scratch());
-  return out;
-}
-
+/// Transpose the weights to (K, OC) in the workspace, then run the
+/// register-tiled line kernel for 3x3x3 same-pad layers at the known
+/// channel counts, the pointwise kernel for 1x1x1, and the im2col
+/// fallback for everything else.  The kk = (ic, k0, k1, k2) accumulation
+/// order matches the training forward, keeping the two paths numerically
+/// aligned up to flag-dependent FP contraction in this translation unit.
 void Conv3d::infer_into(const float* in, std::int32_t D0, std::int32_t D1,
                         std::int32_t D2, InferenceScratch& scratch,
                         float* out) const {
@@ -493,9 +379,35 @@ void Conv3d::infer_into(const float* in, std::int32_t D0, std::int32_t D1,
   const std::int32_t O1 = D1 + 2 * padding_ - kernel_ + 1;
   const std::int32_t O2 = D2 + 2 * padding_ - kernel_ + 1;
   assert(O0 > 0 && O1 > 0 && O2 > 0);
-  conv_dispatch(in, weight_.value.data(), bias_.value.data(), out, 1,
-                in_channels_, out_channels_, D0, D1, D2, kernel_, padding_, O0,
-                O1, O2, scratch);
+  const std::int32_t IC = in_channels_, OC = out_channels_;
+  const float* w = weight_.value.data();
+  const float* bias = bias_.value.data();
+
+  if (kernel_ == 1 && padding_ == 0) {
+    pointwise_conv(in, w, bias, out, IC, OC, std::int64_t(O0) * O1 * O2);
+    return;
+  }
+
+  const std::int64_t K = std::int64_t(IC) * kernel_ * kernel_ * kernel_;
+  float* wt = scratch.wt(std::size_t(K) * std::size_t(OC));
+  for (std::int32_t oc = 0; oc < OC; ++oc) {
+    for (std::int64_t kk = 0; kk < K; ++kk) {
+      wt[std::size_t(kk) * std::size_t(OC) + std::size_t(oc)] = w[oc * K + kk];
+    }
+  }
+
+  if (kernel_ == 3 && padding_ == 1) {
+    switch (OC) {
+      case 1: direct_conv3<1>(in, wt, bias, out, IC, D0, D1, D2); return;
+      case 8: direct_conv3<8>(in, wt, bias, out, IC, D0, D1, D2); return;
+      case 16: direct_conv3<16>(in, wt, bias, out, IC, D0, D1, D2); return;
+      case 32: direct_conv3<32>(in, wt, bias, out, IC, D0, D1, D2); return;
+      case 64: direct_conv3<64>(in, wt, bias, out, IC, D0, D1, D2); return;
+      default: break;
+    }
+  }
+  im2col_conv(in, wt, bias, out, IC, D0, D1, D2, kernel_, padding_, O0, O1, O2,
+              OC, scratch);
 }
 
 }  // namespace oar::nn

@@ -10,21 +10,16 @@
 // caches whatever it needs in forward(); backward(grad_out) must be called
 // after the matching forward.
 //
-// For inference there is additionally ONE public batched API:
-// forward_batch() takes a tensor with a leading batch dimension (N, ...)
-// and returns the stacked outputs (N, ...).  The base-class default loops
-// forward() over the samples, so every module is batch-callable; hot
-// modules (Conv3d) override it with genuinely batched kernels.  The
-// serving layer (src/serve) feeds micro-batches through this path.
-// forward_batch() clobbers the single-sample caches, so backward() must
-// not be called after it.
-//
-// set_training(false) switches forward() itself onto the single-sample
-// inference engine (DESIGN.md §11): tiled kernels from conv3d_batch.cpp,
+// Inference has one engine for every batch size: set_training(false)
+// switches forward() itself onto the single-sample inference engine
+// (DESIGN.md §11) — register-tiled kernels from conv3d_batch.cpp,
 // temporaries from an InferenceScratch arena, and NO activation retention —
 // so backward() must not be called until set_training(true) has been
 // restored and a fresh training forward has run.  Layers assert training()
-// at the top of backward() to fail fast on stale caches.
+// at the top of backward() to fail fast on stale caches.  Callers with N
+// same-shape samples (the serving batcher, the MCTS eval server, dataset
+// evaluation) run N arena passes; there is no stacked (N, ...) forward, so
+// every sample's output is bitwise independent of the batch it rode in.
 
 #include <algorithm>
 #include <memory>
@@ -70,10 +65,6 @@ class Module {
   /// dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Batched inference over (N, <sample shape>) -> (N, <output shape>).
-  /// Inference-only: invalidates the caches backward() relies on.
-  virtual Tensor forward_batch(const Tensor& input);
-
   /// Appends raw pointers to this module's (and submodules') parameters.
   virtual void collect_parameters(std::vector<Parameter*>& out) { (void)out; }
 
@@ -99,27 +90,5 @@ class Module {
  protected:
   bool training_ = true;
 };
-
-inline Tensor Module::forward_batch(const Tensor& input) {
-  assert(input.dim() >= 2 && input.shape(0) > 0);
-  const std::int32_t n = input.shape(0);
-  const std::vector<std::int32_t> sample_shape(input.shape().begin() + 1,
-                                               input.shape().end());
-  Tensor sample(sample_shape);
-  const std::int64_t stride = sample.numel();
-  Tensor out;
-  for (std::int32_t i = 0; i < n; ++i) {
-    std::copy(input.data() + i * stride, input.data() + (i + 1) * stride,
-              sample.data());
-    const Tensor y = forward(sample);
-    if (i == 0) {
-      std::vector<std::int32_t> out_shape{n};
-      out_shape.insert(out_shape.end(), y.shape().begin(), y.shape().end());
-      out = Tensor(std::move(out_shape));
-    }
-    std::copy(y.data(), y.data() + y.numel(), out.data() + i * y.numel());
-  }
-  return out;
-}
 
 }  // namespace oar::nn

@@ -42,8 +42,7 @@ class Dataset {
 
   /// Deterministic (unshuffled) same-size batches covering every sample
   /// once, in size-bucket then insertion order.  Used by evaluation paths
-  /// (e.g. dataset_loss) that stack each batch through forward_batch and
-  /// must not consume RNG state.
+  /// (e.g. dataset_loss) that must not consume RNG state.
   std::vector<std::vector<std::size_t>> ordered_batches(std::size_t batch_size) const;
 
   const TrainingSample& sample(std::size_t i) const { return samples_[i]; }

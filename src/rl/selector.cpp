@@ -144,8 +144,28 @@ void SteinerSelector::infer_fsp_from_features(const float* features,
                                               std::int32_t H, std::int32_t V,
                                               std::int32_t M,
                                               std::vector<double>& out) {
-  assert(int8_ != nullptr);
-  int8_->infer_fsp_from_features(features, H, V, M, out);
+  if (int8_active()) {
+    int8_->infer_fsp_from_features(features, H, V, M, out);
+    return;
+  }
+  const std::int32_t C = hanan::kNumFeatureChannels;
+  const std::int64_t numel = std::int64_t(C) * H * V * M;
+  if (!net_.training()) {
+    nn::quant::note_fp32_forward();
+    nn::InferenceScratch& arena = net_.inference_scratch();
+    arena.rewind();  // infer() never rewinds, so the input slot survives
+    nn::Tensor& input = arena.push({C, H, V, M});
+    std::copy(features, features + numel, input.data());
+    const nn::Tensor& logits = net_.infer(input);
+    out.resize(std::size_t(logits.numel()));
+    nn::sigmoid_into(logits.data(), logits.numel(), out.data());
+    return;
+  }
+  nn::Tensor input({C, H, V, M});
+  std::copy(features, features + numel, input.data());
+  const nn::Tensor logits = net_.forward(input);
+  out.resize(std::size_t(logits.numel()));
+  nn::sigmoid_into(logits.data(), logits.numel(), out.data());
 }
 
 void SteinerSelector::infer_fsp_int8(const HananGrid& grid,

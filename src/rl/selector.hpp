@@ -94,9 +94,11 @@ class SteinerSelector {
   /// Flip the precision without touching the pack (the accuracy gate's
   /// fallback calls this with kFp32).
   void set_precision(nn::InferConfig::Precision p);
-  /// int8 forward straight from a channel-major feature volume — the
-  /// EvalServer / BatchedSelector entry point (they encode features
-  /// themselves).  Requires int8_engine() != nullptr.
+  /// infer_fsp_into straight from a channel-major feature volume — the
+  /// EvalServer entry point (its workers encode features themselves).
+  /// Same engine choice and arithmetic as infer_fsp_into: int8 when
+  /// active, else the fp32 arena engine in inference mode, else the
+  /// training-mode reference forward.
   void infer_fsp_from_features(const float* features, std::int32_t H,
                                std::int32_t V, std::int32_t M,
                                std::vector<double>& out);

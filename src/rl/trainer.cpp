@@ -280,55 +280,26 @@ double fit_dataset(SteinerSelector& selector, nn::Adam& optimizer,
 double dataset_loss(SteinerSelector& selector, const Dataset& dataset,
                     std::size_t batch_size) {
   if (dataset.empty()) return 0.0;
+  nn::UNet3d& net = selector.net();
+  nn::InferenceScratch& arena = net.inference_scratch();
   double total = 0.0;
   std::size_t batches = 0;
   for (const auto& batch : dataset.ordered_batches(batch_size)) {
-    const TrainingSample& first = dataset.sample(batch[0]);
-    const nn::Tensor input0 = SteinerSelector::encode(first.grid, first.extra_pins);
-    std::vector<std::int32_t> stacked_shape{std::int32_t(batch.size())};
-    stacked_shape.insert(stacked_shape.end(), input0.shape().begin(),
-                         input0.shape().end());
-    nn::Tensor stacked(std::move(stacked_shape));
-    const std::int64_t in_stride = input0.numel();
-    std::copy(input0.data(), input0.data() + in_stride, stacked.data());
-    for (std::size_t i = 1; i < batch.size(); ++i) {
-      const TrainingSample& sample = dataset.sample(batch[i]);
-      // Stacking assumes one layout size per batch (Dataset buckets by
-      // size); a mixed batch would silently overrun in_stride.
-      if (sample.grid.h_dim() != first.grid.h_dim() ||
-          sample.grid.v_dim() != first.grid.v_dim() ||
-          sample.grid.m_dim() != first.grid.m_dim()) {
-        throw std::runtime_error(
-            "dataset_loss: mixed-shape batch: sample " +
-            std::to_string(batch[i]) + " is " +
-            std::to_string(sample.grid.h_dim()) + "x" +
-            std::to_string(sample.grid.v_dim()) + "x" +
-            std::to_string(sample.grid.m_dim()) + " but the batch is " +
-            std::to_string(first.grid.h_dim()) + "x" +
-            std::to_string(first.grid.v_dim()) + "x" +
-            std::to_string(first.grid.m_dim()));
-      }
-      const nn::Tensor input = SteinerSelector::encode(sample.grid, sample.extra_pins);
-      std::copy(input.data(), input.data() + in_stride,
-                stacked.data() + std::int64_t(i) * in_stride);
-    }
-
-    const nn::Tensor logits = selector.net().forward_batch(stacked);
-    const std::int64_t out_stride = logits.numel() / std::int64_t(batch.size());
-    nn::Tensor sample_logits({1, first.grid.h_dim(), first.grid.v_dim(),
-                              first.grid.m_dim()});
-    nn::Tensor label(sample_logits.shape());
-    nn::Tensor mask(sample_logits.shape());
     double batch_loss = 0.0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const TrainingSample& sample = dataset.sample(batch[i]);
-      std::copy(logits.data() + std::int64_t(i) * out_stride,
-                logits.data() + std::int64_t(i + 1) * out_stride,
-                sample_logits.data());
+    for (const std::size_t index : batch) {
+      const TrainingSample& sample = dataset.sample(index);
+      const hanan::HananGrid& grid = sample.grid;
+      arena.rewind();  // infer() never rewinds, the input slot survives
+      nn::Tensor& input = arena.push({hanan::kNumFeatureChannels, grid.h_dim(),
+                                      grid.v_dim(), grid.m_dim()});
+      hanan::encode_features_into(grid, sample.extra_pins, input.data());
+      const nn::Tensor& logits = net.infer(input);  // (1, H, V, M)
+      nn::Tensor label(logits.shape());
+      nn::Tensor mask(logits.shape());
       std::copy(sample.label.begin(), sample.label.end(), label.data());
       std::copy(sample.mask.begin(), sample.mask.end(), mask.data());
       nn::Tensor grad_unused;
-      batch_loss += nn::bce_with_logits(sample_logits, label, grad_unused, &mask);
+      batch_loss += nn::bce_with_logits(logits, label, grad_unused, &mask);
     }
     total += batch_loss / double(batch.size());
     ++batches;

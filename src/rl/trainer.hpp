@@ -117,18 +117,17 @@ struct FitOptions {
 
 /// Shards mini-batches across per-worker selector replicas.  Worker w
 /// forward/backwards its contiguous shard on its own replica (the network
-/// caches are not thread safe, so the gradient path stays per-sample;
-/// Module::forward_batch is inference-only) and snapshots each sample's
-/// gradient into a per-batch-position buffer.  The buffers are then merged
-/// pairwise — a binary tree reduction keyed by batch position, NOT by
-/// worker id — and the root is added into the master's parameter
-/// gradients.  Because the addition tree depends only on the batch size,
-/// the accumulated gradient (and therefore every Adam update) is bitwise
-/// identical for any worker count; without this invariant, float
-/// reassociation noise near zero-gradient entries gets amplified by Adam's
-/// m/sqrt(v) normalization into visible weight divergence.  Replica
-/// weights are re-synced from the master lazily after every optimizer
-/// step.
+/// caches are not thread safe, so the gradient path stays per-sample) and
+/// snapshots each sample's gradient into a per-batch-position buffer.  The
+/// buffers are then merged pairwise — a binary tree reduction keyed by
+/// batch position, NOT by worker id — and the root is added into the
+/// master's parameter gradients.  Because the addition tree depends only on
+/// the batch size, the accumulated gradient (and therefore every Adam
+/// update) is bitwise identical for any worker count; without this
+/// invariant, float reassociation noise near zero-gradient entries gets
+/// amplified by Adam's m/sqrt(v) normalization into visible weight
+/// divergence.  Replica weights are re-synced from the master lazily after
+/// every optimizer step.
 class ParallelFitter {
  public:
   /// `workers` is clamped to >= 1; `pool` may be null iff workers == 1.
@@ -179,10 +178,10 @@ double fit_dataset(SteinerSelector& selector, nn::Adam& optimizer,
                    std::size_t batch_size, double grad_clip, util::Rng& rng);
 
 /// Mean masked BCE over the whole dataset without touching gradients or
-/// RNG state.  Stacks each same-size batch through Module::forward_batch
-/// (the batched inference kernels), so it is cheap enough to run every
-/// stage; it clobbers the single-sample forward caches, so call it between
-/// training steps, never between a forward and its backward.
+/// RNG state.  Each sample runs the inference engine (UNet3d::infer on the
+/// net's arena, fp32 whatever the selector's precision), so it is cheap
+/// enough to run every stage; it leaves the training forward caches alone
+/// but must not run concurrently with another forward on the same net.
 double dataset_loss(SteinerSelector& selector, const Dataset& dataset,
                     std::size_t batch_size);
 

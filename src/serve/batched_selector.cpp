@@ -1,64 +1,13 @@
 #include "serve/batched_selector.hpp"
 
-#include <cassert>
-
-#include "hanan/features.hpp"
-#include "nn/activations.hpp"
-
 namespace oar::serve {
 
 std::vector<std::vector<double>> batched_fsp(rl::SteinerSelector& selector,
                                              const std::vector<const HananGrid*>& grids,
-                                             util::ThreadPool* pool) {
-  if (grids.empty()) return {};
-  if (grids.size() == 1) return {selector.infer_fsp(*grids[0])};
-
-  if (selector.int8_active()) {
-    // The int8 engine is single-sample: loop instead of stacking.  Each
-    // grid rebuilds the first-layer accumulator once (different grids
-    // can't share a base), which the integer forward still amortizes.
-    std::vector<std::vector<double>> fsp(grids.size());
-    for (std::size_t i = 0; i < grids.size(); ++i) {
-      fsp[i] = selector.infer_fsp(*grids[i]);
-    }
-    return fsp;
-  }
-
-  const std::int32_t N = std::int32_t(grids.size());
-  const std::int32_t H = grids[0]->h_dim();
-  const std::int32_t V = grids[0]->v_dim();
-  const std::int32_t M = grids[0]->m_dim();
-  const std::int32_t C = selector.config().unet.in_channels;
-  for (const HananGrid* g : grids) {
-    assert(g->h_dim() == H && g->v_dim() == V && g->m_dim() == M);
-    (void)g;
-  }
-
-  assert(C == hanan::kNumFeatureChannels);
-  nn::Tensor input({N, C, H, V, M});
-  const std::int64_t sample = std::int64_t(C) * H * V * M;
-  // Features go straight into each sample's slice of the stacked input —
-  // no intermediate per-grid tensor.
-  const auto encode_one = [&](std::size_t i) {
-    hanan::encode_features_into(*grids[i], {},
-                                input.data() + std::int64_t(i) * sample);
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(grids.size(), encode_one);
-  } else {
-    for (std::size_t i = 0; i < grids.size(); ++i) encode_one(i);
-  }
-
-  // One batched pass; logits arrive as (N, 1, H, V, M) and the flat
-  // (h, v, m) order of a sample IS the selection-priority order.
-  const nn::Tensor logits = selector.net().forward_batch(input);
-  const std::int64_t per = logits.numel() / N;
-
+                                             util::ThreadPool* /*pool*/) {
   std::vector<std::vector<double>> fsp(grids.size());
-  for (std::int32_t i = 0; i < N; ++i) {
-    fsp[std::size_t(i)].resize(std::size_t(per));
-    nn::sigmoid_into(logits.data() + std::int64_t(i) * per, per,
-                     fsp[std::size_t(i)].data());
+  for (std::size_t i = 0; i < grids.size(); ++i) {
+    selector.infer_fsp_into(*grids[i], {}, fsp[i]);
   }
   return fsp;
 }

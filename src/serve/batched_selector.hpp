@@ -1,11 +1,11 @@
 #pragma once
 
-// Micro-batched Steiner-point inference: encodes N same-shape layouts into
-// one (N, C, H, V, M) tensor and runs a single batched U-Net pass
-// (Module::forward_batch, the im2col/direct-conv kernels of
-// nn/conv3d_batch.cpp), returning per-layout fsp in priority order.  A
-// batch of one falls back to the selector's plain single-sample path, so a
-// batch-size-1 service is exactly the legacy router.
+// Micro-batched Steiner-point inference for the serving layer.  The batch
+// is a scheduling unit only: every grid runs the selector's single-sample
+// engine (SteinerSelector::infer_fsp_into — the fp32 arena path or the
+// int8 engine, whichever the selector has active), so each fsp is bitwise
+// identical to a lone infer_fsp on the same grid, whatever batch it landed
+// in.
 
 #include <vector>
 
@@ -16,9 +16,10 @@ namespace oar::serve {
 
 using hanan::HananGrid;
 
-/// fsp (sigmoid probabilities in priority order) for every grid.  All grids
-/// must share one (H, V, M) shape.  Feature encoding fans out across `pool`
-/// when provided.
+/// fsp (sigmoid probabilities in priority order) for every grid, in input
+/// order.  The selector owns one inference arena, so the grids run one
+/// after another on the calling thread; `pool` is accepted for callers
+/// that hand over their routing pool and is not used.
 std::vector<std::vector<double>> batched_fsp(rl::SteinerSelector& selector,
                                              const std::vector<const HananGrid*>& grids,
                                              util::ThreadPool* pool = nullptr);

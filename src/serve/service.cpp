@@ -364,10 +364,9 @@ void RouterService::process_batch(Batch batch_in) {
   const double assembly_seconds = seconds_between(popped, Clock::now());
   serve_obs().batch_assembly.observe(assembly_seconds);
 
-  // Stage 1: one batched U-Net pass for the whole micro-batch.
+  // Stage 1: one single-sample U-Net pass per net of the micro-batch.
   util::Timer infer_timer;
-  const std::vector<std::vector<double>> fsp =
-      batched_fsp(*selector_, grids, &pool_);
+  const std::vector<std::vector<double>> fsp = batched_fsp(*selector_, grids);
   const double infer_seconds = infer_timer.seconds();
   serve_obs().inference_latency.observe(infer_seconds);
 

@@ -7,8 +7,9 @@
 // dedicated batcher thread groups same-shape requests into micro-batches of
 // up to `max_batch`, waiting at most `batch_wait_ms` for stragglers, then:
 //
-//   1. encodes every layout and runs ONE batched U-Net pass
-//      (serve/batched_selector.hpp) for the whole micro-batch,
+//   1. runs the selector's single-sample inference engine once per layout
+//      (serve/batched_selector.hpp), so a reply never depends on the batch
+//      it was fused into,
 //   2. fans the per-net top-k selection + OARMST construction out across a
 //      util::ThreadPool,
 //   3. fulfils each request's promise, recording per-stage latencies in

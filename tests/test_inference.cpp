@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "gen/random_layout.hpp"
@@ -128,6 +130,26 @@ TEST(InferenceEngine, EvalMatchesTrainingWithin1e4Im2colPath) {
   expect_parity(config_im2col(), make_grid(9, 11, 2, 102));
 }
 
+// Every layer count M runs the register-tiled line kernel (full-line tiles
+// up to 8, segments beyond) on the direct config and the im2col fallback on
+// the other; both must stay within the parity bound at each M.
+class InferenceEngineLayerCount
+    : public ::testing::TestWithParam<std::tuple<std::int32_t, bool>> {};
+
+TEST_P(InferenceEngineLayerCount, EvalMatchesTrainingWithin1e4) {
+  const auto [m, direct] = GetParam();
+  expect_parity(direct ? config_direct() : config_im2col(),
+                make_grid(10, 10, m, 300 + std::uint64_t(m)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryM, InferenceEngineLayerCount,
+    ::testing::Combine(::testing::Range(1, 13), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::int32_t, bool>>& info) {
+      return "M" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_direct" : "_im2col");
+    });
+
 TEST(InferenceEngine, EvalIsBitwiseDeterministic) {
   rl::SteinerSelector selector(config_direct());
   const HananGrid grid = make_grid(10, 10, 3, 103);
@@ -175,9 +197,8 @@ TEST(InferenceEngine, GradCheckStillPassesAfterEvalUse) {
 // heap allocations (tentpole acceptance criterion).
 // ---------------------------------------------------------------------------
 
-TEST(InferenceEngine, WarmedUpForwardPerformsZeroHeapAllocations) {
+void expect_zero_allocations(const HananGrid& grid) {
   rl::SteinerSelector selector(config_direct());
-  const HananGrid grid = make_grid(12, 12, 3, 106);
 
   // Pre-build the per-state extra-pin vectors so the loop body is exactly
   // the MCTS hot path: patch features, infer, read out.
@@ -200,6 +221,15 @@ TEST(InferenceEngine, WarmedUpForwardPerformsZeroHeapAllocations) {
 
   EXPECT_EQ(allocs_after - allocs_before, 0u);
   EXPECT_EQ(grow_after - grow_before, 0u);
+}
+
+TEST(InferenceEngine, WarmedUpForwardPerformsZeroHeapAllocations) {
+  // M = 3 and 6 run full-line tiles off the powers of two, M = 10 splits
+  // each line into segments.
+  for (const std::int32_t m : {3, 6, 10}) {
+    SCOPED_TRACE(testing::Message() << "M " << m);
+    expect_zero_allocations(make_grid(12, 12, m, 106));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ void expect_gradcheck_ok(M& module, const Tensor& input, std::uint64_t seed) {
                     << " max_abs_error=" << r.max_abs_error;
 }
 
-/// forward_batch must agree with per-sample forward.  The batched conv
-/// kernels contract FMAs in a different order than the naive loop, so the
-/// comparison is tolerance-based, not bitwise.
+/// A batch of n samples runs as n back-to-back eval-mode forwards on the
+/// inference engine (there is no stacked batched forward), reusing one
+/// arena; each must agree with the training-mode forward of the same
+/// sample.  The engine's kernels contract FMAs in a different order than
+/// the naive loop, so the comparison is tolerance-based, not bitwise.
 void expect_batch_matches_single(Module& module,
                                  std::vector<std::int32_t> sample_shape,
                                  std::int32_t n, std::uint64_t seed,
@@ -45,21 +47,27 @@ void expect_batch_matches_single(Module& module,
   std::vector<std::int32_t> batch_shape{n};
   batch_shape.insert(batch_shape.end(), sample_shape.begin(), sample_shape.end());
   const Tensor batch = random_input(std::move(batch_shape), seed);
+  const std::int64_t in_stride = batch.numel() / n;
 
-  const Tensor batched = module.forward_batch(batch);
-  ASSERT_EQ(batched.shape(0), n);
-  const std::int64_t out_stride = batched.numel() / n;
-
-  Tensor sample(std::move(sample_shape));
-  const std::int64_t in_stride = sample.numel();
+  std::vector<Tensor> samples;
   for (std::int32_t i = 0; i < n; ++i) {
+    Tensor sample(sample_shape);
     std::copy(batch.data() + i * in_stride, batch.data() + (i + 1) * in_stride,
               sample.data());
-    const Tensor single = module.forward(sample);
-    ASSERT_EQ(single.numel(), out_stride);
-    for (std::int64_t j = 0; j < out_stride; ++j) {
-      ASSERT_NEAR(batched[i * out_stride + j], single[j], tol)
-          << "sample " << i << " element " << j;
+    samples.push_back(std::move(sample));
+  }
+
+  module.set_training(false);
+  std::vector<Tensor> eval;
+  for (const Tensor& sample : samples) eval.push_back(module.forward(sample));
+  module.set_training(true);
+
+  for (std::int32_t i = 0; i < n; ++i) {
+    const Tensor single = module.forward(samples[std::size_t(i)]);
+    const Tensor& e = eval[std::size_t(i)];
+    ASSERT_EQ(e.shape(), single.shape());
+    for (std::int64_t j = 0; j < single.numel(); ++j) {
+      ASSERT_NEAR(e[j], single[j], tol) << "sample " << i << " element " << j;
     }
   }
 }
@@ -273,17 +281,31 @@ TEST(ResidualBlockLayer, PickGroups) {
 }
 
 TEST(Conv3dLayer, BatchMatchesSingleTemplatedPath) {
-  // OC=8, last dim in {1,2,4,8}: the register-tiled full-line kernel.
+  // OC=8, last dim 4: the register-tiled full-line kernel.
   util::Rng rng(61);
   Conv3d conv(7, 8, 3, rng);
   expect_batch_matches_single(conv, {7, 6, 5, 4}, 5, 62);
 }
 
 TEST(Conv3dLayer, BatchMatchesSingleGeneralTilePath) {
-  // Last dim 3 forces the general tiling inside the templated kernel.
+  // Last dim 3: a full-line tile at a layer count that is not a power of two.
   util::Rng rng(63);
   Conv3d conv(4, 16, 3, rng);
   expect_batch_matches_single(conv, {4, 4, 5, 3}, 3, 64);
+}
+
+TEST(Conv3dLayer, EvalMatchesTrainingOnSegmentedLines) {
+  // Lines longer than one register tile run as segments with halo taps at
+  // the segment ends; cover every templated channel count, remainders of
+  // 1..4 and an exact multiple of the tile.
+  for (const std::int32_t oc : {1, 8, 16, 32}) {
+    for (const std::int32_t d2 : {9, 10, 12, 16}) {
+      SCOPED_TRACE(testing::Message() << "OC " << oc << " D2 " << d2);
+      util::Rng rng(std::uint64_t(100 + oc + d2));
+      Conv3d conv(3, oc, 3, rng);
+      expect_batch_matches_single(conv, {3, 3, 2, d2}, 2, 200 + std::uint64_t(d2));
+    }
+  }
 }
 
 TEST(Conv3dLayer, BatchMatchesSingleIm2colFallback) {
@@ -308,6 +330,7 @@ TEST(PoolLayers, BatchMatchesSingle) {
   MaxPool3d pool;
   expect_batch_matches_single(pool, {4, 6, 4, 2}, 3, 71);
   UpsampleNearest3d up;
+  up.set_target(6, 3, 2);
   expect_batch_matches_single(up, {4, 3, 2, 1}, 3, 72);
 }
 

@@ -118,22 +118,86 @@ TEST(Canonical, InverseVertexMapRoundTrips) {
   }
 }
 
-TEST(BatchedSelector, MatchesSingleSampleInference) {
-  rl::SteinerSelector selector(tiny_config());
-  std::vector<HananGrid> grids = {small_grid(1), small_grid(2), small_grid(3)};
-  std::vector<const HananGrid*> ptrs;
-  for (const HananGrid& g : grids) ptrs.push_back(&g);
+rl::SelectorConfig direct_config() {
+  // base 8 / depth 2: every 3x3x3 conv runs the register-tiled line kernel.
+  rl::SelectorConfig cfg = tiny_config();
+  cfg.unet.base_channels = 8;
+  cfg.unet.depth = 2;
+  return cfg;
+}
 
-  const auto batched = batched_fsp(selector, ptrs);
-  ASSERT_EQ(batched.size(), grids.size());
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    const auto single = selector.infer_fsp(grids[i]);
-    ASSERT_EQ(batched[i].size(), single.size());
-    for (std::size_t j = 0; j < single.size(); ++j) {
-      // The batched kernels may contract FMAs in a different order.
-      EXPECT_NEAR(batched[i][j], single[j], 1e-4);
+HananGrid layered_grid(std::uint64_t seed, std::int32_t m) {
+  util::Rng rng(seed);
+  gen::RandomGridSpec spec;
+  spec.h = 8;
+  spec.v = 7;
+  spec.m = m;
+  spec.min_pins = 4;
+  spec.max_pins = 5;
+  spec.min_obstacles = 3;
+  spec.max_obstacles = 3;
+  return gen::random_grid(spec, rng);
+}
+
+TEST(BatchedSelector, MatchesSingleSampleInference) {
+  // A micro-batch is a scheduling unit: each grid's fsp must be bitwise
+  // the lone infer_fsp answer, on the im2col and the line-kernel configs.
+  for (const rl::SelectorConfig& cfg : {tiny_config(), direct_config()}) {
+    for (const std::int32_t m : {2, 3, 6}) {
+      SCOPED_TRACE(testing::Message() << "base " << cfg.unet.base_channels
+                                      << " M " << m);
+      rl::SteinerSelector selector(cfg);
+      std::vector<HananGrid> grids;
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        grids.push_back(layered_grid(seed, m));
+      }
+      std::vector<const HananGrid*> ptrs;
+      for (const HananGrid& g : grids) ptrs.push_back(&g);
+
+      const auto batched = batched_fsp(selector, ptrs);
+      ASSERT_EQ(batched.size(), grids.size());
+      for (std::size_t i = 0; i < grids.size(); ++i) {
+        EXPECT_EQ(batched[i], selector.infer_fsp(grids[i])) << "grid " << i;
+      }
     }
   }
+}
+
+TEST(RouterService, ReplyDoesNotDependOnItsBatch) {
+  // The same layout routed alone and fused into a burst of four same-shape
+  // requests must get the identical tree: fsp bits, and with them the
+  // top-k Steiner set, may not depend on batch composition.
+  auto selector = std::make_shared<rl::SteinerSelector>(direct_config());
+  RouterServiceConfig cfg;
+  cfg.max_batch = 4;
+  cfg.batch_wait_ms = 500.0;  // the burst always fuses into one batch
+  cfg.cache_capacity = 0;     // every request reaches the network
+  RouterService service(selector, cfg);
+
+  const auto alone_grid = std::make_shared<const HananGrid>(layered_grid(7, 3));
+  const RouteReply alone = service.route(alone_grid);
+  ASSERT_TRUE(alone.result.connected);
+
+  const std::uint64_t batches_before = counter_value("oar_serve_batches_total");
+  std::vector<std::future<RouteReply>> burst;
+  burst.push_back(service.submit(
+      {std::make_shared<const HananGrid>(layered_grid(7, 3)), std::nullopt}));
+  for (std::uint64_t seed = 8; seed <= 10; ++seed) {
+    burst.push_back(service.submit(
+        {std::make_shared<const HananGrid>(layered_grid(seed, 3)), std::nullopt}));
+  }
+  std::vector<RouteReply> replies;
+  for (auto& f : burst) replies.push_back(f.get());
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(counter_value("oar_serve_batches_total") - batches_before, 1u);
+  }
+
+  const RouteReply& fused = replies.front();
+  ASSERT_TRUE(fused.result.connected);
+  EXPECT_FALSE(fused.cache_hit);
+  EXPECT_EQ(fused.result.cost, alone.result.cost);
+  EXPECT_EQ(edge_set(fused.result.tree), edge_set(alone.result.tree));
+  EXPECT_EQ(fused.result.kept_steiner, alone.result.kept_steiner);
 }
 
 TEST(RouterService, CacheHitReturnsIdenticalTree) {

@@ -146,8 +146,9 @@ TEST(ParallelFitTest, PerSampleGradientsPassGradCheck) {
 }
 
 TEST(ParallelFitTest, DatasetLossAgreesWithSerialEvaluation) {
-  // dataset_loss stacks batches through forward_batch; it must agree with
-  // the per-sample loss the training loop reports on an untouched network.
+  // dataset_loss runs each sample through the inference engine; it must
+  // agree with the per-sample loss the training loop reports on an
+  // untouched network.
   const Dataset dataset = synthetic_dataset(6, 17);
   SteinerSelector selector(tiny_selector());
   const double batched = dataset_loss(selector, dataset, 4);
