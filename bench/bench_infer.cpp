@@ -17,8 +17,10 @@
 // voxel what 32x32x8 does.  A final section measures the observability tax
 // (metrics kill-switch on vs off, alternated per inference with the
 // measured-first side swapped every pair, median of the paired ratios); in
-// --smoke mode an overhead above 2% is a hard failure (the obs subsystem's
-// acceptance bound).
+// --smoke mode an overhead above 2% fails (the obs subsystem's acceptance
+// bound).  A failed gate does not stop the run: every section still runs,
+// both JSON files record each gate as "pass", "fail" or "off" (not armed in
+// this mode or on this machine), and the exit code is 1 if any gate failed.
 
 #include <algorithm>
 #include <chrono>
@@ -251,19 +253,30 @@ ObsOverhead measure_obs_overhead(int state_count, int reps, int rounds) {
   return o;
 }
 
+/// One acceptance gate's outcome.  `armed` is false when this mode or
+/// machine does not check it.
+struct Gate {
+  bool armed = false;
+  bool passed = true;
+
+  bool failed() const { return armed && !passed; }
+  const char* verdict() const { return !armed ? "off" : passed ? "pass" : "fail"; }
+};
+
 struct Int8Report {
   double fp32_ips = 0.0;    // inference-engine fp32 path
   double int8_ips = 0.0;    // quantized engine, incremental accumulator
   double speedup = 0.0;
   double agreement = 0.0;   // accuracy-gate top-k agreement
   double cost_ratio = 0.0;  // accuracy-gate routed-cost ratio
-  bool gate_passed = false;
+  Gate accuracy_gate;
+  Gate speedup_gate;        // >= 3x over fp32
 };
 
 /// int8 engine vs the fp32 inference engine on the paper's largest size
 /// (32x32x8), same MCTS-hot-loop replay as bench_size.  The accuracy gate
 /// runs first on small layouts (routing 32x32x8 both ways would dominate
-/// the budget) and a failure is FATAL: a quantized path that changes
+/// the budget) and is armed in every mode: a quantized path that changes
 /// selections is a broken artifact, not a slow one.
 Int8Report bench_int8(int state_count, int reps, bool smoke) {
   Int8Report rep;
@@ -285,13 +298,12 @@ Int8Report bench_int8(int state_count, int reps, bool smoke) {
   const rl::Int8GateReport gate = rl::evaluate_int8_gate(selector, gate_grids);
   rep.agreement = gate.mean_agreement;
   rep.cost_ratio = gate.mean_cost_ratio;
-  rep.gate_passed = gate.passed;
+  rep.accuracy_gate = {true, gate.passed};
   if (!gate.passed) {
     std::fprintf(stderr,
-                 "FATAL: int8 accuracy gate failed (agreement %.3f, cost "
-                 "ratio %.4f over %d layouts)\n",
+                 "FAIL: int8 accuracy gate (agreement %.3f, cost ratio %.4f "
+                 "over %d layouts)\n",
                  gate.mean_agreement, gate.mean_cost_ratio, gate.count);
-    std::exit(1);
   }
 
   util::Rng rng(41);
@@ -309,14 +321,15 @@ Int8Report bench_int8(int state_count, int reps, bool smoke) {
   rep.int8_ips = double(states.size()) * reps / std::max(int8.seconds, 1e-12);
   rep.speedup = rep.int8_ips / std::max(rep.fp32_ips, 1e-12);
 
-  // The ISSUE's >= 3x acceptance bound is armed in full mode only (smoke
-  // runs too few reps for a stable ratio) and only when a vector level is
-  // live — the scalar lane checks correctness, not throughput.
-  if (!smoke && nn::simd::dispatch_level() != nn::simd::Level::kScalar &&
-      rep.speedup < 3.0) {
-    std::fprintf(stderr, "FATAL: int8 speedup %.2fx below the 3x bound\n",
+  // The >= 3x acceptance bound is armed in full mode only (smoke runs too
+  // few reps for a stable ratio) and only when a vector level is live —
+  // the scalar lane checks correctness, not throughput.
+  rep.speedup_gate = {
+      !smoke && nn::simd::dispatch_level() != nn::simd::Level::kScalar,
+      rep.speedup >= 3.0};
+  if (rep.speedup_gate.failed()) {
+    std::fprintf(stderr, "FAIL: int8 speedup %.2fx below the 3x bound\n",
                  rep.speedup);
-    std::exit(1);
   }
   return rep;
 }
@@ -363,12 +376,12 @@ int main(int argc, char** argv) {
               "us/kvoxel (%.2fx, gate <= 1.5x)\n",
               mid.engine_us_per_kvoxel(), large.engine_us_per_kvoxel(),
               per_voxel_ratio);
-  if (!smoke && per_voxel_ratio > 1.5) {
+  const Gate per_voxel_gate{!smoke, per_voxel_ratio <= 1.5};
+  if (per_voxel_gate.failed()) {
     std::fprintf(stderr,
-                 "FATAL: 24x24x6 engine costs %.2fx per voxel of 32x32x8 "
+                 "FAIL: 24x24x6 engine costs %.2fx per voxel of 32x32x8 "
                  "(bound 1.5x)\n",
                  per_voxel_ratio);
-    return 1;
   }
 
   const MctsReport mcts_rep = bench_mcts(smoke ? 2 : 6);
@@ -389,11 +402,11 @@ int main(int argc, char** argv) {
               "inf/s, median of paired ratios)%s\n",
               100.0 * obs_tax.overhead, obs_tax.on_ips, obs_tax.off_ips,
               obs::kMetricsCompiled ? "" : " [compiled out]");
-  if (smoke && obs::kMetricsCompiled && obs_tax.overhead > 0.02) {
+  const Gate obs_gate{smoke && obs::kMetricsCompiled, obs_tax.overhead <= 0.02};
+  if (obs_gate.failed()) {
     std::fprintf(stderr,
-                 "FATAL: metrics overhead %.2f%% exceeds the 2%% budget\n",
+                 "FAIL: metrics overhead %.2f%% exceeds the 2%% budget\n",
                  100.0 * obs_tax.overhead);
-    return 1;
   }
 
   if (std::FILE* f = std::fopen("BENCH_infer.json", "w")) {
@@ -412,6 +425,7 @@ int main(int argc, char** argv) {
         "  \"comb_mcts\": {\"h\": 16, \"v\": 16, \"m\": 4,\n"
         "    \"reference_eps\": %.3f, \"engine_eps\": %.3f, \"speedup\": %.3f},\n"
         "  \"obs_overhead_fraction\": %.6f,\n"
+        "  \"gates\": {\"per_voxel\": \"%s\", \"obs_overhead\": \"%s\"},\n"
         "  %s,\n"
         "  \"smoke\": %s\n"
         "}\n",
@@ -419,8 +433,8 @@ int main(int argc, char** argv) {
         mid.ref_ips, mid.engine_ips, mid.speedup, mid.max_rel,
         large.ref_ips, large.engine_ips, large.speedup, large.max_rel,
         per_voxel_ratio, mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup,
-        obs_tax.overhead, bench::machine_json().c_str(),
-        smoke ? "true" : "false");
+        obs_tax.overhead, per_voxel_gate.verdict(), obs_gate.verdict(),
+        bench::machine_json().c_str(), smoke ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote BENCH_infer.json\n");
   }
@@ -434,14 +448,26 @@ int main(int argc, char** argv) {
         "  \"speedup\": %.3f,\n"
         "  \"gate\": {\"agreement\": %.4f, \"cost_ratio\": %.5f, "
         "\"passed\": %s},\n"
+        "  \"gates\": {\"accuracy\": \"%s\", \"speedup\": \"%s\"},\n"
         "  %s,\n"
         "  \"smoke\": %s\n"
         "}\n",
         int8.fp32_ips, int8.int8_ips, int8.speedup, int8.agreement,
-        int8.cost_ratio, int8.gate_passed ? "true" : "false",
+        int8.cost_ratio, int8.accuracy_gate.passed ? "true" : "false",
+        int8.accuracy_gate.verdict(), int8.speedup_gate.verdict(),
         bench::machine_json().c_str(), smoke ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote BENCH_infer_int8.json\n");
+  }
+
+  int failed = 0;
+  for (const Gate& g : {per_voxel_gate, int8.accuracy_gate, int8.speedup_gate,
+                        obs_gate}) {
+    failed += g.failed() ? 1 : 0;
+  }
+  if (failed > 0) {
+    std::fprintf(stderr, "bench_infer: %d gate(s) failed\n", failed);
+    return 1;
   }
   return 0;
 }

@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   mcts::CombMctsConfig cfg;
   cfg.iterations_per_move = smoke ? 16 : 48;
   cfg.max_children = 8;
-  cfg.flush_us = 200;
 
   std::vector<HananGrid> grids;
   for (int e = 0; e < episodes; ++e) {

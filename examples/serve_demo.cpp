@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
 
   serve::RouterServiceConfig cfg;
   cfg.max_batch = 8;
-  cfg.batch_wait_ms = 3.0;
   serve::RouterService service(selector, cfg);
 
   std::atomic<int> hits{0}, misses{0}, deadline_misses{0};

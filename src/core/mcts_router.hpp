@@ -7,7 +7,7 @@
 // an inference engine — orders of magnitude slower than "rl-ours", but the
 // strongest tree the repository can produce for a single net, and the
 // natural consumer of the tree-parallel search (CombMctsConfig's
-// search_workers / eval_batch / flush_us knobs, DESIGN.md §15).
+// search_workers knob, DESIGN.md §15).
 
 #include <memory>
 

@@ -86,10 +86,6 @@ void CombMctsConfig::validate() const {
   util::check_field(search_workers >= 0, "CombMctsConfig", "search_workers",
                     "be >= 0 (0 = hardware concurrency, 1 = serial)",
                     search_workers);
-  util::check_field(eval_batch >= 1, "CombMctsConfig", "eval_batch", "be >= 1",
-                    eval_batch);
-  util::check_field(flush_us >= 0, "CombMctsConfig", "flush_us",
-                    "be non-negative", flush_us);
   util::check_field(warm_start_weight >= 0.0 && warm_start_weight <= 1.0,
                     "CombMctsConfig", "warm_start_weight", "be in [0, 1]",
                     warm_start_weight);

@@ -64,10 +64,6 @@ struct CombMctsConfig {
   /// 1 = serial semantics (ParallelCombMcts is then bitwise-identical to
   /// CombMcts); 0 = hardware concurrency.  Ignored by the serial CombMcts.
   std::int32_t search_workers = 1;
-  /// Max same-shape leaf inferences the EvalServer drains as one batch.
-  std::int32_t eval_batch = 8;
-  /// EvalServer straggler wait before flushing an undersized batch.
-  std::int64_t flush_us = 200;
 
   // --- persistent-experience warm start (DESIGN.md §18) ---
   /// Seed the root from the experience store (exact or pin-subset/superset

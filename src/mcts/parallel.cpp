@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -29,6 +30,9 @@ struct ParallelObs {
   obs::Counter& parallel_episodes;
   obs::Counter& vloss_reverts;
   obs::Counter& eval_waits;
+  obs::Counter& eval_requests;
+  obs::Counter& eval_deadline_cancelled;
+  obs::Histogram& eval_lock_wait;
 };
 
 ParallelObs& parallel_obs() {
@@ -51,6 +55,13 @@ ParallelObs& parallel_obs() {
                   "Virtual losses reverted during backup (== applied when quiescent)"),
       reg.counter("oar_mcts_eval_waits_total",
                   "Descents that waited on another worker's leaf evaluation"),
+      reg.counter("oar_mcts_eval_requests_total",
+                  "Leaf inferences requested by ParallelCombMcts workers"),
+      reg.counter("oar_mcts_eval_deadline_cancelled_total",
+                  "Leaf inferences skipped on an expired request deadline"),
+      reg.histogram("oar_mcts_eval_lock_wait_seconds", obs::latency_buckets(),
+                    "Time a search worker waited for the selector per leaf "
+                    "inference"),
   };
   return o;
 }
@@ -92,12 +103,12 @@ struct Step {
 
 // Per-worker private state: exact/critic evaluation (router scratch), the
 // feature encoder, and reusable buffers.  Nothing here is shared, so the
-// only synchronization in the search is the tree mutex + the EvalServer.
+// only synchronization in the search is the tree mutex + the selector mutex.
 struct WorkerCtx {
   ActorCritic ac;
   hanan::FeatureCache fcache;
-  std::vector<float> features;   // encoded leaf volume (EvalServer input)
-  std::vector<double> fsp;       // EvalServer output, priority order
+  std::vector<float> features;   // encoded leaf volume (selector input)
+  std::vector<double> fsp;       // selector output, priority order
   std::vector<Vertex> selected;  // leaf state snapshot
   std::vector<Step> path;        // descent path of the current iteration
 
@@ -123,18 +134,12 @@ ParallelCombMcts::ParallelCombMcts(rl::SteinerSelector& selector,
       workers_(config_.search_workers == 0
                    ? std::max<std::int32_t>(
                          1, std::int32_t(std::thread::hardware_concurrency()))
-                   : config_.search_workers),
-      // One worker can never have two requests in flight, so eval_batch > 1
-      // would only add straggler-wait latency per leaf — clamp it to 1 (the
-      // bitwise single-sample path either way).
-      server_(selector,
-              EvalServerConfig{workers_ == 1 ? 1 : config_.eval_batch,
-                               config_.flush_us,
-                               std::max<std::int32_t>(256, 2 * workers_)}) {}
+                   : config_.search_workers) {}
 
 CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
                                      const SearchDeadline& deadline) {
   util::Timer timer;
+  ParallelObs& o = parallel_obs();
   CombMctsResult result;
   const auto n_vertices = std::size_t(grid.num_vertices());
   result.label.assign(n_vertices, 0.0f);
@@ -241,8 +246,9 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
   };
 
   // One UCT iteration: descend under the tree lock, evaluate the leaf
-  // outside it, commit + backup under the lock again.
-  auto run_iteration = [&](WorkerCtx& ctx) {
+  // outside it, commit + backup under the lock again.  Returns false when
+  // the leaf was skipped on an expired deadline (nothing committed).
+  auto run_iteration = [&](WorkerCtx& ctx) -> bool {
     std::unique_lock<std::mutex> lock(tree_mu);
     std::int32_t cur = root;
     ctx.path.clear();
@@ -333,7 +339,7 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
       PNode& leaf = nodes[std::size_t(cur)];
       if (leaf.terminal) {
         backup(value_of(leaf.cost));
-        return;
+        return true;
       }
     }
 
@@ -359,6 +365,20 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
     }
     lock.unlock();
 
+    // Releases the claim and reverts the stamped virtual losses (no visit,
+    // no value) so waiters unblock and the tree stays consistent.
+    auto abandon = [&] {
+      lock.lock();
+      nodes[std::size_t(cur)].eval_busy = false;
+      for (const Step& step : ctx.path) {
+        PEdge& e = nodes[std::size_t(step.node)].edges[step.edge];
+        e.vloss -= 1;
+        ++result.stats.vloss_reverted;
+      }
+      lock.unlock();
+      eval_cv.notify_all();
+    };
+
     double value = 0.0;
     double cost = leaf_cost;
     bool terminal = false;
@@ -375,17 +395,35 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
       if (terminal) {
         value = value_of(cost);
       } else {
-        // Expansion: fsp through the shared EvalServer (batch-of-one runs
-        // the bitwise single-sample engine), then children from the actor
-        // policy — all on worker-private state.  The run's guaranteed
-        // first iteration submits without a deadline so the zero-slack
-        // fallback can never be cancelled out from under it.
+        // Expansion: fsp from the selector's single-sample engine (the
+        // bitwise serial path) under the selector mutex, then children from
+        // the actor policy on worker-private state.  A leaf whose deadline
+        // has passed once the worker holds the selector is skipped, not
+        // evaluated — except in the run's guaranteed first iteration, so
+        // the zero-slack fallback can never be cancelled out from under it.
         ctx.fcache.encode_into(grid, ctx.selected, ctx.features.data());
-        SearchDeadline eval_deadline;
-        if (deadline && completed.load(std::memory_order_relaxed) > 0) {
-          eval_deadline = deadline;
+        const bool cancellable =
+            deadline && completed.load(std::memory_order_relaxed) > 0;
+        const SearchClock::time_point asked = SearchClock::now();
+        o.eval_requests.inc();
+        bool expired = false;
+        {
+          std::lock_guard<std::mutex> infer_lock(selector_mu_);
+          const SearchClock::time_point held = SearchClock::now();
+          o.eval_lock_wait.observe(
+              std::chrono::duration<double>(held - asked).count());
+          expired = cancellable && held >= *deadline;
+          if (!expired) {
+            selector_.infer_fsp_from_features(ctx.features.data(), grid.h_dim(),
+                                              grid.v_dim(), grid.m_dim(),
+                                              ctx.fsp);
+          }
         }
-        server_.submit(grid, ctx.features.data(), ctx.fsp, eval_deadline).get();
+        if (expired) {
+          o.eval_deadline_cancelled.inc();
+          abandon();
+          return false;
+        }
         auto policy = ctx.ac.policy(ctx.selected, leaf_action_priority, ctx.fsp);
         if (config_.max_children > 0 &&
             std::ssize(policy) > config_.max_children) {
@@ -422,19 +460,8 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
         }
       }
     } catch (...) {
-      // Release the claim and revert the stamped virtual losses (no visit,
-      // no value) so waiters unblock and the tree stays consistent, then
-      // let the worker loop surface the error.
-      lock.lock();
-      nodes[std::size_t(cur)].eval_busy = false;
-      for (const Step& step : ctx.path) {
-        PEdge& e = nodes[std::size_t(step.node)].edges[step.edge];
-        e.vloss -= 1;
-        ++result.stats.vloss_reverted;
-      }
-      lock.unlock();
-      eval_cv.notify_all();
-      throw;
+      abandon();
+      throw;  // the worker loop surfaces the error
     }
 
     // --- commit + backup ---
@@ -494,6 +521,7 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
     backup(value);
     lock.unlock();
     eval_cv.notify_all();
+    return true;
   };
 
   auto worker_fn = [&](WorkerCtx& ctx) {
@@ -511,16 +539,17 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
           break;
         }
         if (tickets.fetch_sub(1, std::memory_order_relaxed) <= 0) break;
-        run_iteration(ctx);
+        if (!run_iteration(ctx)) {
+          // The leaf's deadline expired while this worker waited for the
+          // selector; run_iteration reverted the iteration's virtual losses
+          // and released the leaf claim.  The aborted iteration is not
+          // counted.
+          deadline_expired.store(true, std::memory_order_relaxed);
+          tickets.store(0, std::memory_order_relaxed);
+          break;
+        }
         completed.fetch_add(1, std::memory_order_relaxed);
       }
-    } catch (const EvalCancelled&) {
-      // The EvalServer cancelled this worker's in-flight leaf evaluation
-      // on the expired deadline.  run_iteration already reverted the
-      // iteration's virtual losses and released the leaf claim; the
-      // aborted iteration is simply not counted.
-      deadline_expired.store(true, std::memory_order_relaxed);
-      tickets.store(0, std::memory_order_relaxed);
     } catch (...) {
       std::lock_guard<std::mutex> lk(tree_mu);
       if (!first_error) first_error = std::current_exception();
@@ -616,7 +645,6 @@ CombMctsResult ParallelCombMcts::run(const HananGrid& grid,
   }
   result.stats.seconds = timer.seconds();
 
-  ParallelObs& o = parallel_obs();
   o.episodes.inc();
   o.parallel_episodes.inc();
   o.iterations.add(std::uint64_t(result.stats.iterations));

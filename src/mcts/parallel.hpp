@@ -16,12 +16,13 @@
 //     and with a single worker (virtual losses never observed non-zero)
 //     every selection computes the serial floating-point expressions
 //     verbatim: `search_workers = 1` is bitwise-identical to CombMcts.
-//   * Leaf inference goes through a shared EvalServer: the worker encodes
-//     the state's feature volume with its private hanan::FeatureCache,
-//     submits it, and blocks on the future while the drain thread fuses
-//     same-shape requests into one batched forward.  Exact state costs and
+//   * Leaf inference runs on the worker itself: it encodes the state's
+//     feature volume with its private hanan::FeatureCache, then runs the
+//     selector's single-sample forward under the search's selector mutex
+//     (the selector's inference arena is single-threaded by contract), so
+//     every fsp is bitwise the serial selector's.  Exact state costs and
 //     critic completions (maze/OARMST work) stay on the worker's own
-//     ActorCritic + RouterScratch.
+//     ActorCritic + RouterScratch, outside every lock.
 //   * Tree mutations (selection bookkeeping, expansion commit, backup) are
 //     serialized by one tree mutex; evaluations — ~all of the wall time —
 //     run outside it.  A worker reaching a leaf that another worker is
@@ -37,48 +38,45 @@
 // the equivalence; DESIGN.md §15 explains why this is inherent).
 
 #include <cstdint>
+#include <mutex>
 
 #include "mcts/comb_mcts.hpp"
-#include "mcts/eval_server.hpp"
 
 namespace oar::mcts {
 
 class ParallelCombMcts {
  public:
-  /// Uses CombMctsConfig's search_workers / eval_batch / flush_us knobs.
-  /// The selector must outlive the search and, while run() executes, is
-  /// used exclusively by the EvalServer drain thread.  `experience`
-  /// (optional, must outlive the search) feeds the warm-start lookup,
-  /// consulted only when config.warm_start is on — the same root seeding
-  /// as the serial CombMcts, applied under the tree lock at the initial
-  /// root's expansion commit.
+  /// Uses CombMctsConfig's search_workers knob.  The selector must
+  /// outlive the search and, while run() executes, is used only under the
+  /// search's selector mutex — the caller must not run its own forwards on
+  /// it concurrently.  `experience` (optional, must outlive the search)
+  /// feeds the warm-start lookup, consulted only when config.warm_start is
+  /// on — the same root seeding as the serial CombMcts, applied under the
+  /// tree lock at the initial root's expansion commit.
   ParallelCombMcts(rl::SteinerSelector& selector, CombMctsConfig config = {},
                    const experience::Store* experience = nullptr);
 
   /// Same contract as CombMcts::run, including the anytime mode: with a
   /// `deadline`, workers stop claiming iterations once it has passed (the
   /// first iteration of the run is always executed — the zero-slack
-  /// fallback), in-flight leaf evaluations past the deadline are cancelled
-  /// through the EvalServer and their virtual losses reverted, and the
-  /// result's best_selected is the best fully-evaluated state.  A run
-  /// whose deadline never fires is bitwise identical to the unbounded run
-  /// at search_workers == 1.  May be called repeatedly (the EvalServer
-  /// persists across episodes).
+  /// fallback), a leaf whose deadline has expired by the time its worker
+  /// holds the selector is skipped instead of evaluated (its virtual
+  /// losses reverted), and the result's best_selected is the best
+  /// fully-evaluated state.  A run whose deadline never fires is bitwise
+  /// identical to the unbounded run at search_workers == 1.  May be called
+  /// repeatedly.
   CombMctsResult run(const HananGrid& grid,
                      const SearchDeadline& deadline = std::nullopt);
 
   /// Resolved worker count (search_workers == 0 -> hardware concurrency).
   std::int32_t workers() const { return workers_; }
 
-  /// The shared inference server (test/diagnostic hook).
-  EvalServer& eval_server() { return server_; }
-
  private:
   rl::SteinerSelector& selector_;
+  std::mutex selector_mu_;  // serializes run()'s forwards on selector_
   CombMctsConfig config_;
   const experience::Store* experience_;
   std::int32_t workers_;
-  EvalServer server_;
 };
 
 }  // namespace oar::mcts

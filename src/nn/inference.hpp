@@ -17,11 +17,11 @@
 //
 // Threading contract (mirrors route::RouterScratch): an InferenceScratch is
 // NOT thread safe and must not be shared between concurrently running
-// forwards.  Each UNet3d owns one (so one selector == one arena, which is
-// what threads ActorCritic, serve::BatchedSelector and the trainer clone
-// pool correctly — they all hold per-worker selectors); standalone
-// eval-mode layer forwards fall back to local_inference_scratch(), one per
-// thread.
+// forwards.  Each UNet3d owns one, so one selector == one arena: the
+// trainer clone pool holds per-worker selectors, serve::RouterService runs
+// every forward on its batcher thread, and mcts::ParallelCombMcts runs its
+// workers' forwards under one selector mutex.  Standalone eval-mode layer
+// forwards fall back to local_inference_scratch(), one per thread.
 //
 // Lifetime contract: tensors returned by push() stay valid until the slot
 // is handed out again after a rewind().  UNet3d::infer never rewinds — the

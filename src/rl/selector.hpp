@@ -95,7 +95,8 @@ class SteinerSelector {
   /// fallback calls this with kFp32).
   void set_precision(nn::InferConfig::Precision p);
   /// infer_fsp_into straight from a channel-major feature volume — the
-  /// EvalServer entry point (its workers encode features themselves).
+  /// entry point of ParallelCombMcts, whose workers encode features
+  /// themselves and run this under the search's selector mutex.
   /// Same engine choice and arithmetic as infer_fsp_into: int8 when
   /// active, else the fp32 arena engine in inference mode, else the
   /// training-mode reference forward.

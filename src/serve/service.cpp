@@ -73,7 +73,7 @@ ServeObs& serve_obs() {
       reg.histogram("oar_serve_queue_wait_seconds", obs::latency_buckets(),
                     "Submit-to-batch-pop wait per queued request"),
       reg.histogram("oar_serve_batch_assembly_seconds", obs::latency_buckets(),
-                    "Leader pop to inference dispatch per micro-batch"),
+                    "Batch pop to inference dispatch per micro-batch"),
       reg.histogram("oar_serve_inference_seconds", obs::latency_buckets(),
                     "Batched U-Net pass latency per micro-batch"),
       reg.histogram("oar_serve_routing_seconds", obs::latency_buckets(),
@@ -111,10 +111,7 @@ void SloConfig::validate() const {
 
 void RouterServiceConfig::validate() const {
   util::check_field(max_batch >= 1, "RouterServiceConfig", "max_batch",
-                    "be >= 1 (1 disables batching)", max_batch);
-  util::check_field(batch_wait_ms >= 0.0 && std::isfinite(batch_wait_ms),
-                    "RouterServiceConfig", "batch_wait_ms",
-                    "be finite and non-negative", batch_wait_ms);
+                    "be >= 1 (1 = one request per batch)", max_batch);
   util::check_field(!experience_read_only || !experience_path.empty(),
                     "RouterServiceConfig", "experience_read_only",
                     "require experience_path to name an existing file",
@@ -137,15 +134,6 @@ namespace {
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
-
-bool same_shape(const HananGrid& a, const HananGrid& b) {
-  return a.h_dim() == b.h_dim() && a.v_dim() == b.v_dim() &&
-         a.m_dim() == b.m_dim();
-}
-
-}  // namespace
-
-namespace {
 
 experience::StoreConfig store_config_of(const RouterServiceConfig& config) {
   experience::StoreConfig sc;
@@ -288,56 +276,20 @@ RouterService::Batch RouterService::take_batch() {
     return {};
   }
 
-  // Leader = the most urgent request (earliest effective deadline, FIFO
-  // among the deadline-less); its shape defines the micro-batch.
+  // Up to max_batch queued requests of any shape, most urgent first
+  // (earliest effective deadline, FIFO among the deadline-less).  There is
+  // no straggler wait: every request runs its own single-sample forward, so
+  // company arriving later could not make the batch any cheaper.
   Batch batch;
-  const auto leader = detail::most_urgent(
-      queue_.begin(), queue_.end(),
-      [](const Pending& p) -> const std::optional<Clock::time_point>& {
-        return p.deadline;
-      });
-  batch.items.push_back(std::move(*leader));
-  queue_.erase(leader);
   batch.popped = Clock::now();
-  const HananGrid& shape = *batch.items.front().request.grid;
-
-  const auto harvest = [&] {
-    for (auto it = queue_.begin();
-         it != queue_.end() && batch.items.size() < config_.max_batch;) {
-      if (same_shape(*it->request.grid, shape)) {
-        batch.items.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  harvest();
-  // Straggler wait, capped at the leader's deadline so a zero-slack
-  // request never waits for company.  batch_wait_ms == 0 (or a leader
-  // already at/past its deadline) short-circuits: no timed wait at all.
-  if (config_.batch_wait_ms > 0.0 && batch.items.size() < config_.max_batch &&
-      !stopping_) {
-    Clock::time_point wait_until =
-        batch.popped + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               config_.batch_wait_ms));
-    const std::optional<Clock::time_point>& leader_deadline =
-        batch.items.front().deadline;
-    if (leader_deadline && *leader_deadline < wait_until) {
-      wait_until = *leader_deadline;
-    }
-    if (wait_until > Clock::now()) {
-      timed_waits_.fetch_add(1, std::memory_order_relaxed);
-      while (batch.items.size() < config_.max_batch && !stopping_) {
-        if (cv_.wait_until(lock, wait_until) == std::cv_status::timeout) {
-          harvest();
-          break;
-        }
-        harvest();
-      }
-    }
+  while (!queue_.empty() && batch.items.size() < config_.max_batch) {
+    const auto next = detail::most_urgent(
+        queue_.begin(), queue_.end(),
+        [](const Pending& p) -> const std::optional<Clock::time_point>& {
+          return p.deadline;
+        });
+    batch.items.push_back(std::move(*next));
+    queue_.erase(next);
   }
   serve_obs().queue_depth.set(double(queue_.size()));
   return batch;
@@ -347,10 +299,7 @@ void RouterService::process_batch(Batch batch_in) {
   std::vector<Pending>& batch = batch_in.items;
   const Clock::time_point popped = batch_in.popped;
   for (const Pending& p : batch) {
-    // Stragglers harvested during the wait can be enqueued after the
-    // leader popped; their queue wait is effectively zero.
-    serve_obs().queue_wait.observe(
-        std::max(0.0, seconds_between(p.enqueued, popped)));
+    serve_obs().queue_wait.observe(seconds_between(p.enqueued, popped));
   }
   serve_obs().batches.inc();
   serve_obs().batch_occupancy.observe(double(batch.size()));
@@ -359,8 +308,8 @@ void RouterService::process_batch(Batch batch_in) {
   grids.reserve(batch.size());
   for (const Pending& p : batch) grids.push_back(p.request.grid.get());
 
-  // Assembly = leader popped -> inference dispatch: the straggler wait
-  // plus the harvesting/feature gathering above.
+  // Assembly = batch popped -> inference dispatch: the queue pass and the
+  // grid gathering above.
   const double assembly_seconds = seconds_between(popped, Clock::now());
   serve_obs().batch_assembly.observe(assembly_seconds);
 
@@ -409,7 +358,7 @@ void RouterService::process_batch(Batch batch_in) {
     reply.result = std::move(res);
     reply.result.tree.rebind_grid(reply.grid.get());
     reply.cache_hit = false;
-    reply.queue_seconds = std::max(0.0, seconds_between(p.enqueued, popped));
+    reply.queue_seconds = seconds_between(p.enqueued, popped);
     reply.inference_seconds = infer_seconds;
     reply.routing_seconds = route_seconds;
     reply.total_seconds = seconds_between(p.enqueued, done);

@@ -4,12 +4,12 @@
 //
 // Clients submit routing requests (a Hanan-grid layout with pins, plus an
 // optional deadline) onto a thread-safe queue and receive a future.  A
-// dedicated batcher thread groups same-shape requests into micro-batches of
-// up to `max_batch`, waiting at most `batch_wait_ms` for stragglers, then:
+// dedicated batcher thread takes up to `max_batch` queued requests — of any
+// shape, most urgent first, without waiting for more to arrive — and:
 //
 //   1. runs the selector's single-sample inference engine once per layout
 //      (serve/batched_selector.hpp), so a reply never depends on the batch
-//      it was fused into,
+//      it was taken in,
 //   2. fans the per-net top-k selection + OARMST construction out across a
 //      util::ThreadPool,
 //   3. fulfils each request's promise, recording per-stage latencies in
@@ -25,21 +25,19 @@
 // space and are mapped back through the request's symmetry on a hit; the
 // answering tier is reported in RouteReply::hit_tier.
 //
-// With max_batch == 1 the service degrades to the legacy single-sample
-// router path — that configuration is the baseline the serve bench compares
-// micro-batching against.
+// A batch is a scheduling unit only: one queue pass, one routing fan-out.
+// With max_batch == 1 every request is its own batch — the baseline the
+// serve bench compares the fan-out against.
 //
 // SLO-aware serving (DESIGN.md §16): every request carries an *effective
 // deadline* — its own, or submit-time + SloConfig::default_deadline_ms.
-// The batcher pops the most-urgent shape group first (earliest effective
-// deadline; FIFO among deadline-less requests) instead of strict FIFO, and
-// caps the straggler wait at the leader's deadline so a zero-slack request
-// never waits for company.  Admission control turns the queue from
+// The batcher takes requests in earliest-effective-deadline order (FIFO
+// among deadline-less requests) instead of strict FIFO, and never holds a
+// request back to wait for company.  Admission control turns the queue from
 // unbounded to bounded: a full queue or a hopeless deadline resolves the
 // future *immediately* with a typed Overloaded reply (ReplyStatus) instead
 // of blocking forever or serving a result nobody will use.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -131,12 +129,9 @@ struct SloConfig {
 };
 
 struct RouterServiceConfig {
-  /// Maximum micro-batch size; 1 disables batching (legacy path).
+  /// Most queued requests the batcher takes per batch (the routing
+  /// fan-out unit); 1 serves one request at a time.
   std::size_t max_batch = 8;
-  /// How long the batcher waits for same-shape stragglers.  0 means zero
-  /// waiting: the batcher harvests what is queued and dispatches without
-  /// ever entering a timed wait.
-  double batch_wait_ms = 2.0;
   /// Memory-tier LRU entries; 0 disables the memory tier.
   std::size_t cache_capacity = 256;
   /// Persistent experience file backing the cache (experience::Store disk
@@ -213,13 +208,6 @@ class RouterService {
     return store_;
   }
 
-  /// Times the batcher entered a timed straggler wait (cv wait_until).
-  /// With batch_wait_ms == 0 this stays at zero — the regression hook for
-  /// the zero-wait short-circuit.
-  std::uint64_t timed_waits() const {
-    return timed_waits_.load(std::memory_order_relaxed);
-  }
-
   /// Point-in-time export of the process-global obs::MetricsRegistry in
   /// Prometheus exposition format / JSON.  Contains this service's
   /// families (request latency, batch occupancy, symmetry-cache hits) and
@@ -241,12 +229,13 @@ class RouterService {
 
   struct Batch {
     std::vector<Pending> items;
-    /// When the leader left the queue — the start of batch assembly.
+    /// When the batch left the queue — the start of batch assembly.
     Clock::time_point popped;
   };
 
   void batcher_loop();
-  /// Blocks for work; an empty batch means "stopping and drained".
+  /// Blocks for work, then takes up to max_batch requests in deadline
+  /// order; an empty batch means "stopping and drained".
   Batch take_batch();
   void process_batch(Batch batch);
   /// Refreshes the liveness gauges and the p50/p99 gauges (quantiles of
@@ -268,7 +257,6 @@ class RouterService {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   bool stopping_ = false;
-  std::atomic<std::uint64_t> timed_waits_{0};
   std::thread batcher_;
 };
 

@@ -53,7 +53,6 @@ CombMctsConfig quick_config(std::int32_t workers) {
   cfg.iterations_per_move = 24;
   cfg.use_critic = true;
   cfg.search_workers = workers;
-  cfg.flush_us = 50;
   return cfg;
 }
 

@@ -20,11 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/mcts_router.hpp"
 #include "core/registry.hpp"
 #include "gen/random_layout.hpp"
+#include "obs/metrics.hpp"
 #include "rl/trainer.hpp"
 
 namespace oar::mcts {
@@ -55,12 +57,25 @@ HananGrid test_grid(std::uint64_t seed, std::int32_t pins = 4,
   return gen::random_grid(spec, rng);
 }
 
+std::uint64_t counter_of(const obs::Snapshot& snap, const std::string& name) {
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+std::uint64_t lock_waits_of(const obs::Snapshot& snap) {
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name == "oar_mcts_eval_lock_wait_seconds") return h.count;
+  }
+  return 0;
+}
+
 CombMctsConfig quick_config(std::int32_t workers) {
   CombMctsConfig cfg;
   cfg.iterations_per_move = 24;
   cfg.use_critic = true;
   cfg.search_workers = workers;
-  cfg.flush_us = 50;  // tests favor latency over batch occupancy
   return cfg;
 }
 
@@ -101,8 +116,8 @@ TEST(ParallelCombMcts, SingleWorkerBitwiseIdenticalToSerial) {
 }
 
 TEST(ParallelCombMcts, SingleWorkerRepeatedEpisodesStayBitwise) {
-  // The EvalServer persists across run() calls; reuse must not perturb the
-  // bitwise anchor.
+  // The search object persists across run() calls; reuse must not perturb
+  // the bitwise anchor.
   rl::SteinerSelector selector(tiny_config());
   ParallelCombMcts parallel(selector, quick_config(1));
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
@@ -148,7 +163,6 @@ TEST(ParallelCombMcts, ExhaustiveLayoutsReachIdenticalBestCost) {
     }
     CombMctsConfig cfg;
     cfg.iterations_per_move = 4000;
-    cfg.flush_us = 50;
 
     CombMcts serial(selector, cfg);
     const CombMctsResult base = serial.run(grid);
@@ -178,7 +192,6 @@ TEST(ParallelCombMcts, StatisticalEquivalenceOverFixedSeedEpisodes) {
   constexpr std::uint64_t kEpisodes = 64;
   CombMctsConfig cfg;
   cfg.iterations_per_move = 12;
-  cfg.flush_us = 50;
 
   std::vector<HananGrid> grids;
   grids.reserve(kEpisodes);
@@ -235,19 +248,30 @@ TEST(ParallelCombMcts, HardwareWorkerCountResolvesAndRuns) {
             std::int64_t(grid.pins().size()) - 2);
 }
 
-TEST(ParallelCombMcts, EvalServerBatchesLeavesAtHigherWorkerCounts) {
+TEST(ParallelCombMcts, EveryLeafInferenceIsCountedAtHigherWorkerCounts) {
+  // Four workers share the selector through one mutex: every leaf forward
+  // counts one request and one lock wait, and none is skipped without a
+  // deadline.
   rl::SteinerSelector selector(tiny_config());
-  CombMctsConfig cfg = quick_config(4);
-  cfg.flush_us = 2'000;  // give concurrent leaves a window to fuse
-  ParallelCombMcts search(selector, cfg);
+  ParallelCombMcts search(selector, quick_config(4));
+  const obs::Snapshot before = obs::MetricsRegistry::instance().snapshot();
+  std::int64_t expansions = 0;
   for (std::uint64_t seed = 51; seed <= 53; ++seed) {
-    search.run(test_grid(seed, 6));
+    const CombMctsResult r = search.run(test_grid(seed, 6));
+    EXPECT_EQ(r.stats.vloss_applied, r.stats.vloss_reverted);
+    expansions += r.stats.expansions;
   }
-  const EvalServer::Stats stats = search.eval_server().stats();
-  EXPECT_GT(stats.requests, 0u);
-  EXPECT_GT(stats.batches, 0u);
-  // Every expansion went through the server, none were dropped.
-  EXPECT_GE(stats.requests, stats.batches);
+  EXPECT_GT(expansions, 0);
+  if (!obs::kMetricsCompiled) return;
+
+  const obs::Snapshot after = obs::MetricsRegistry::instance().snapshot();
+  const std::uint64_t requests =
+      counter_of(after, "oar_mcts_eval_requests_total") -
+      counter_of(before, "oar_mcts_eval_requests_total");
+  EXPECT_GE(requests, std::uint64_t(expansions));
+  EXPECT_EQ(lock_waits_of(after) - lock_waits_of(before), requests);
+  EXPECT_EQ(counter_of(after, "oar_mcts_eval_deadline_cancelled_total"),
+            counter_of(before, "oar_mcts_eval_deadline_cancelled_total"));
 }
 
 TEST(ParallelCombMcts, TrainerUsesParallelSearchWhenConfigured) {
@@ -267,7 +291,6 @@ TEST(ParallelCombMcts, TrainerUsesParallelSearchWhenConfigured) {
   cfg.augment_count = 4;
   cfg.mcts.iterations_per_move = 12;
   cfg.mcts.search_workers = 2;
-  cfg.mcts.flush_us = 50;
   cfg.curriculum_stages = 1;
   cfg.min_pins = 3;
   cfg.max_pins = 4;
@@ -286,7 +309,6 @@ TEST(MctsRouterEngine, RegisteredAndRoutesThroughParallelSearch) {
   CombMctsConfig cfg;
   cfg.iterations_per_move = 12;
   cfg.search_workers = 2;
-  cfg.flush_us = 50;
   core::MctsRouter router(selector, cfg);
   EXPECT_EQ(router.name(), "rl-mcts");
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "gen/random_layout.hpp"
+#include "hanan/features.hpp"
 
 namespace oar::rl {
 namespace {
@@ -66,6 +67,35 @@ TEST(Selector, ExtraPinsChangeInference) {
   double diff = 0.0;
   for (std::size_t i = 0; i < base.size(); ++i) diff += std::abs(base[i] - with_extra[i]);
   EXPECT_GT(diff, 1e-9);
+}
+
+TEST(Selector, InferFromFeaturesBitwiseMatchesInferFspInto) {
+  // ParallelCombMcts workers encode their leaf themselves and call
+  // infer_fsp_from_features; the result must be bitwise the serial
+  // infer_fsp_into answer on the same state (the 1-worker == serial anchor).
+  SteinerSelector selector(tiny_config());
+  const HananGrid grid = small_grid();
+  std::vector<Vertex> state;
+  for (Vertex v = 0; v < grid.num_vertices() && state.size() < 2; ++v) {
+    if (!grid.is_pin(v) && !grid.is_blocked(v)) state.push_back(v);
+  }
+  ASSERT_EQ(state.size(), 2u);
+  std::vector<double> reference;
+  selector.infer_fsp_into(grid, state, reference);
+
+  hanan::FeatureCache cache;
+  std::vector<float> features(std::size_t(hanan::kNumFeatureChannels) *
+                              std::size_t(grid.h_dim()) *
+                              std::size_t(grid.v_dim()) *
+                              std::size_t(grid.m_dim()));
+  cache.encode_into(grid, state, features.data());
+  std::vector<double> out;
+  selector.infer_fsp_from_features(features.data(), grid.h_dim(), grid.v_dim(),
+                                   grid.m_dim(), out);
+  ASSERT_EQ(out.size(), reference.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], reference[i]) << "fsp diverges at priority " << i;
+  }
 }
 
 TEST(Selector, TopKExcludesPinsObstaclesAndExtras) {

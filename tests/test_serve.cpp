@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -163,21 +165,40 @@ TEST(BatchedSelector, MatchesSingleSampleInference) {
   }
 }
 
+/// A layout large enough that routing it keeps the batcher busy for far
+/// longer than the tests' 50 ms settle sleeps (~150 ms on one AVX2
+/// core even with the line-kernel selector).
+std::shared_ptr<const HananGrid> slow_grid() {
+  util::Rng rng(3);
+  gen::RandomGridSpec spec;
+  spec.h = 128;
+  spec.v = 128;
+  spec.m = 8;
+  spec.min_pins = 4;
+  spec.max_pins = 4;
+  spec.min_obstacles = 2;
+  spec.max_obstacles = 2;
+  return std::make_shared<const HananGrid>(gen::random_grid(spec, rng));
+}
+
 TEST(RouterService, ReplyDoesNotDependOnItsBatch) {
-  // The same layout routed alone and fused into a burst of four same-shape
-  // requests must get the identical tree: fsp bits, and with them the
-  // top-k Steiner set, may not depend on batch composition.
+  // The same layout routed alone and taken in a burst of four requests
+  // must get the identical tree: fsp bits, and with them the top-k Steiner
+  // set, may not depend on batch composition.
   auto selector = std::make_shared<rl::SteinerSelector>(direct_config());
   RouterServiceConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_wait_ms = 500.0;  // the burst always fuses into one batch
-  cfg.cache_capacity = 0;     // every request reaches the network
+  cfg.cache_capacity = 0;  // every request reaches the network
   RouterService service(selector, cfg);
 
   const auto alone_grid = std::make_shared<const HananGrid>(layered_grid(7, 3));
   const RouteReply alone = service.route(alone_grid);
   ASSERT_TRUE(alone.result.connected);
 
+  // Pin the batcher on a slow request so the whole burst queues up behind
+  // it and is taken as one batch.
+  auto pin = service.submit({slow_grid(), std::nullopt});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const std::uint64_t batches_before = counter_value("oar_serve_batches_total");
   std::vector<std::future<RouteReply>> burst;
   burst.push_back(service.submit(
@@ -188,6 +209,7 @@ TEST(RouterService, ReplyDoesNotDependOnItsBatch) {
   }
   std::vector<RouteReply> replies;
   for (auto& f : burst) replies.push_back(f.get());
+  EXPECT_TRUE(pin.get().result.connected);
   if (obs::kMetricsCompiled) {
     EXPECT_EQ(counter_value("oar_serve_batches_total") - batches_before, 1u);
   }
@@ -198,6 +220,44 @@ TEST(RouterService, ReplyDoesNotDependOnItsBatch) {
   EXPECT_EQ(fused.result.cost, alone.result.cost);
   EXPECT_EQ(edge_set(fused.result.tree), edge_set(alone.result.tree));
   EXPECT_EQ(fused.result.kept_steiner, alone.result.kept_steiner);
+}
+
+TEST(RouterService, MixedShapesShareOneBatchInDeadlineOrder) {
+  // While the batcher routes a slow request, four requests of three shapes
+  // queue up.  The next batch takes max_batch = 3 of them, whatever their
+  // shape, in deadline order: the deadline-less request, submitted first,
+  // is left for the batch after.
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  RouterServiceConfig cfg;
+  cfg.max_batch = 3;
+  cfg.cache_capacity = 0;
+  RouterService service(selector, cfg);
+
+  auto pin = service.submit({slow_grid(), std::nullopt});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto grid = [](std::uint64_t seed, std::int32_t m) {
+    return std::make_shared<const HananGrid>(layered_grid(seed, m));
+  };
+  const Clock::time_point now = Clock::now();
+  auto relaxed = service.submit({grid(1, 2), std::nullopt});
+  std::vector<std::future<RouteReply>> urgent;
+  urgent.push_back(service.submit({grid(2, 3), now + std::chrono::seconds(60)}));
+  urgent.push_back(service.submit({grid(3, 6), now + std::chrono::seconds(30)}));
+  urgent.push_back(service.submit({grid(4, 2), now + std::chrono::seconds(45)}));
+
+  std::vector<RouteReply> replies;
+  for (auto& f : urgent) replies.push_back(f.get());
+  const RouteReply relaxed_reply = relaxed.get();
+  EXPECT_TRUE(pin.get().result.connected);
+  EXPECT_TRUE(relaxed_reply.result.connected);
+  for (const RouteReply& r : replies) {
+    EXPECT_TRUE(r.result.connected);
+    // Stage timings are per batch: one batch reports one timing to all.
+    EXPECT_EQ(r.inference_seconds, replies.front().inference_seconds);
+    EXPECT_EQ(r.routing_seconds, replies.front().routing_seconds);
+    // Enqueued first, popped later.
+    EXPECT_GT(relaxed_reply.queue_seconds, r.queue_seconds);
+  }
 }
 
 TEST(RouterService, CacheHitReturnsIdenticalTree) {
@@ -267,7 +327,6 @@ TEST(RouterService, ConcurrentClientsAllComplete) {
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
   RouterServiceConfig cfg;
   cfg.max_batch = 4;
-  cfg.batch_wait_ms = 1.0;
   RouterService service(selector, cfg);
   const std::uint64_t requests_before =
       counter_value("oar_serve_requests_total");
