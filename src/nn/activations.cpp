@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/team.hpp"
+
 namespace oar::nn {
 
 float Sigmoid::apply(float x) {
@@ -14,16 +16,18 @@ float Sigmoid::apply(float x) {
 }
 
 void sigmoid_into(const float* x, std::int64_t n, double* out) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    if (v >= 0.0f) {
-      const float z = std::exp(-v);
-      out[i] = double(1.0f / (1.0f + z));
-    } else {
-      const float z = std::exp(v);
-      out[i] = double(z / (1.0f + z));
+  util::team_for(n, n * 8, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      const float v = x[i];
+      if (v >= 0.0f) {
+        const float z = std::exp(-v);
+        out[i] = double(1.0f / (1.0f + z));
+      } else {
+        const float z = std::exp(v);
+        out[i] = double(z / (1.0f + z));
+      }
     }
-  }
+  });
 }
 
 Tensor Sigmoid::forward(const Tensor& input) {

@@ -2,6 +2,7 @@
 
 #include "nn/conv3d.hpp"
 #include "nn/inference.hpp"
+#include "util/team.hpp"
 
 // Inference-engine convolution kernels (DESIGN.md §11).  Kept in their own
 // translation unit so the build can compile just this file with wider
@@ -18,6 +19,12 @@
 // only M long, so patch assembly costs as much as the GEMM it feeds.  Every
 // other kernel size and channel count falls back to an im2col +
 // register-blocked GEMM that handles any shape.
+//
+// Every kernel splits across the inference team (util/team.hpp) along an
+// axis whose elements it computes independently — output rows o0 for the
+// line kernel, row blocks for im2col, voxel ranges for the pointwise mix —
+// so each output element sees the same arithmetic for any part count and a
+// team forward is bitwise equal to a serial one.
 
 namespace oar::nn {
 
@@ -174,18 +181,19 @@ inline void conv_line3_dispatch(const float* in_sample_ptr, const float* wt,
                        o1, t, lo, hi, out_chan);
 }
 
-/// Outputs t..t+TILE of every line of the volume.  When the segment is the
-/// whole line (t = 0, TILE = D2) the halo flags are passed as constants so
-/// the kernel compiles without any halo check.
+/// Outputs t..t+TILE of every line in output rows [o0_begin, o0_end).
+/// When the segment is the whole line (t = 0, TILE = D2) the halo flags are
+/// passed as constants so the kernel compiles without any halo check.
 template <std::int32_t OC, std::int32_t TILE>
 void conv_lines3(const float* in, const float* wt, const float* bias,
                  float* out, std::int32_t IC, std::int32_t D0, std::int32_t D1,
-                 std::int32_t D2, std::int32_t t) {
+                 std::int32_t D2, std::int32_t t, std::int32_t o0_begin,
+                 std::int32_t o0_end) {
   const std::int64_t out_plane = std::int64_t(D1) * D2;
   const std::int64_t out_chan = std::int64_t(D0) * out_plane;
   const bool lo = t > 0;
   const bool hi = t + TILE < D2;
-  for (std::int32_t o0 = 0; o0 < D0; ++o0) {
+  for (std::int32_t o0 = o0_begin; o0 < o0_end; ++o0) {
     for (std::int32_t o1 = 0; o1 < D1; ++o1) {
       float* oline =
           out + std::int64_t(o0) * out_plane + std::int64_t(o1) * D2 + t;
@@ -201,55 +209,60 @@ void conv_lines3(const float* in, const float* wt, const float* bias,
 }
 
 /// One segment of `len` (1..kMaxLineTile) outputs starting at t on every
-/// line, with `len` lifted to a template constant.
+/// line of rows [b, e), with `len` lifted to a template constant.
 template <std::int32_t OC>
 void conv_segment3(const float* in, const float* wt, const float* bias,
                    float* out, std::int32_t IC, std::int32_t D0,
                    std::int32_t D1, std::int32_t D2, std::int32_t t,
-                   std::int32_t len) {
-  static_assert(kMaxLineTile == 8, "one case per segment length");
-  switch (len) {
-    case 1: conv_lines3<OC, 1>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    case 2: conv_lines3<OC, 2>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    case 3: conv_lines3<OC, 3>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    case 4: conv_lines3<OC, 4>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    case 5: conv_lines3<OC, 5>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    case 6: conv_lines3<OC, 6>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    case 7: conv_lines3<OC, 7>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-    default: conv_lines3<OC, 8>(in, wt, bias, out, IC, D0, D1, D2, t); break;
-  }
+                   std::int32_t len, std::int32_t b, std::int32_t e) {
+  static_assert(kMaxLineTile == 8, "one entry per segment length");
+  static constexpr decltype(&conv_lines3<OC, 1>) kLines[] = {
+      conv_lines3<OC, 1>, conv_lines3<OC, 2>, conv_lines3<OC, 3>,
+      conv_lines3<OC, 4>, conv_lines3<OC, 5>, conv_lines3<OC, 6>,
+      conv_lines3<OC, 7>, conv_lines3<OC, 8>};
+  kLines[len - 1](in, wt, bias, out, IC, D0, D1, D2, t, b, e);
 }
 
 /// 3x3x3 same-pad convolution of one (IC, D0, D1, D2) sample for any layer
 /// count D2 >= 1: each line runs as segments of at most kMaxLineTile
-/// outputs — one full-line tile when D2 <= kMaxLineTile.
+/// outputs — one full-line tile when D2 <= kMaxLineTile.  Output rows o0
+/// are split across the team.
 template <std::int32_t OC>
 void direct_conv3(const float* in, const float* wt, const float* bias,
                   float* out, std::int32_t IC, std::int32_t D0, std::int32_t D1,
                   std::int32_t D2) {
-  for (std::int32_t t = 0; t < D2; t += kMaxLineTile) {
-    conv_segment3<OC>(in, wt, bias, out, IC, D0, D1, D2, t,
-                      std::min(kMaxLineTile, D2 - t));
-  }
+  // ~16 vectorized multiply-adds per ns.
+  const std::int64_t work = std::int64_t(D0) * D1 * D2 * OC * IC * 27 / 16;
+  util::team_for(D0, work, [&](std::int64_t b, std::int64_t e) {
+    for (std::int32_t t = 0; t < D2; t += kMaxLineTile) {
+      conv_segment3<OC>(in, wt, bias, out, IC, D0, D1, D2, t,
+                        std::min(kMaxLineTile, D2 - t), std::int32_t(b),
+                        std::int32_t(e));
+    }
+  });
 }
 
 /// 1x1x1 convolution: a per-voxel channel mix.  The spatial axis is
 /// contiguous, so an axpy per (oc, ic) pair vectorizes without any patch
-/// assembly.  Handles the output head and every residual projection.
+/// assembly.  Handles the output head and every residual projection; voxel
+/// ranges are split across the team.
 void pointwise_conv(const float* in, const float* w, const float* bias,
                     float* out, std::int32_t IC, std::int32_t OC,
                     std::int64_t spatial) {
-  for (std::int32_t oc = 0; oc < OC; ++oc) {
-    float* __restrict__ orow = out + oc * spatial;
-    const float b = bias[oc];
-    for (std::int64_t i = 0; i < spatial; ++i) orow[i] = b;
-    for (std::int32_t ic = 0; ic < IC; ++ic) {
-      const float s = w[std::int64_t(oc) * IC + ic];
-      if (s == 0.0f) continue;
-      const float* __restrict__ irow = in + ic * spatial;
-      for (std::int64_t i = 0; i < spatial; ++i) orow[i] += s * irow[i];
+  const std::int64_t work = spatial * OC * (IC + 1) / 8;
+  util::team_for(spatial, work, [&](std::int64_t b, std::int64_t e) {
+    for (std::int32_t oc = 0; oc < OC; ++oc) {
+      float* __restrict__ orow = out + oc * spatial;
+      const float bv = bias[oc];
+      for (std::int64_t i = b; i < e; ++i) orow[i] = bv;
+      for (std::int32_t ic = 0; ic < IC; ++ic) {
+        const float s = w[std::int64_t(oc) * IC + ic];
+        if (s == 0.0f) continue;
+        const float* __restrict__ irow = in + ic * spatial;
+        for (std::int64_t i = b; i < e; ++i) orow[i] += s * irow[i];
+      }
     }
-  }
+  });
 }
 
 constexpr std::int64_t kRowBlock = 128;
@@ -304,64 +317,91 @@ void gemm_block_generic(const float* col, std::int64_t rows, std::int64_t K,
   }
 }
 
+/// One im2col + GEMM row block: output voxels [r0, r0 + rblk) of every
+/// channel, through the caller's col / prod / acc workspaces.
+void im2col_block(const float* in, const float* wt, const float* bias,
+                  float* out, std::int32_t IC, std::int32_t D0,
+                  std::int32_t D1, std::int32_t D2, std::int32_t kernel,
+                  std::int32_t pad, std::int32_t O1, std::int32_t O2,
+                  std::int32_t OC, std::int64_t out_chan, std::int64_t r0,
+                  std::int64_t rblk, float* col, float* prod, float* acc) {
+  const std::int64_t in_plane = std::int64_t(D1) * D2;
+  const std::int64_t in_chan = std::int64_t(D0) * in_plane;
+  const std::int64_t k3 = std::int64_t(kernel) * kernel * kernel;
+  const std::int64_t K = std::int64_t(IC) * k3;
+
+  // im2col: one row per output voxel; padding stays zero.
+  std::fill(col, col + rblk * K, 0.0f);
+  for (std::int64_t r = 0; r < rblk; ++r) {
+    const std::int64_t s = r0 + r;
+    const std::int32_t o0 = std::int32_t(s / (std::int64_t(O1) * O2));
+    const std::int32_t o1 = std::int32_t((s / O2) % O1);
+    const std::int32_t o2 = std::int32_t(s % O2);
+    float* crow = col + r * K;
+    const std::int32_t k2_lo = std::max(0, pad - o2);
+    const std::int32_t k2_hi = std::min(kernel, D2 + pad - o2);
+    if (k2_lo >= k2_hi) continue;
+    for (std::int32_t ic = 0; ic < IC; ++ic) {
+      const float* ichan = in + ic * in_chan;
+      float* cchan = crow + ic * k3;
+      for (std::int32_t k0 = 0; k0 < kernel; ++k0) {
+        const std::int32_t z0 = o0 + k0 - pad;
+        if (z0 < 0 || z0 >= D0) continue;
+        for (std::int32_t k1 = 0; k1 < kernel; ++k1) {
+          const std::int32_t z1 = o1 + k1 - pad;
+          if (z1 < 0 || z1 >= D1) continue;
+          float* cdst = cchan + (std::int64_t(k0) * kernel + k1) * kernel + k2_lo;
+          const float* isrc = ichan + std::int64_t(z0) * in_plane +
+                              std::int64_t(z1) * D2 + (o2 + k2_lo - pad);
+          std::copy(isrc, isrc + (k2_hi - k2_lo), cdst);
+        }
+      }
+    }
+  }
+
+  gemm_block_generic(col, rblk, K, OC, wt, bias, prod, acc);
+
+  // Scatter (row, oc) back to the channel-major output layout.
+  for (std::int64_t r = 0; r < rblk; ++r) {
+    float* obase = out + r0 + r;
+    const float* p = prod + r * OC;
+    for (std::int32_t oc = 0; oc < OC; ++oc) {
+      obase[std::int64_t(oc) * out_chan] = p[oc];
+    }
+  }
+}
+
+/// im2col + GEMM over row blocks of kRowBlock output voxels, the blocks
+/// split across the team; each part gets its own slice of the im2col /
+/// product / register-block workspaces.
 void im2col_conv(const float* in, const float* wt, const float* bias, float* out,
                  std::int32_t IC, std::int32_t D0, std::int32_t D1,
                  std::int32_t D2, std::int32_t kernel, std::int32_t pad,
                  std::int32_t O0, std::int32_t O1, std::int32_t O2,
                  std::int32_t OC, InferenceScratch& ws) {
-  const std::int64_t in_plane = std::int64_t(D1) * D2;
-  const std::int64_t in_chan = std::int64_t(D0) * in_plane;
   const std::int64_t out_chan = std::int64_t(O0) * O1 * O2;
-  const std::int64_t k3 = std::int64_t(kernel) * kernel * kernel;
-  const std::int64_t K = std::int64_t(IC) * k3;
+  const std::int64_t K = std::int64_t(IC) * kernel * kernel * kernel;
+  const std::int64_t blocks = (out_chan + kRowBlock - 1) / kRowBlock;
+  const std::int32_t parts = util::ForkJoinTeam::instance().parts_for(
+      out_chan * K * OC / 8, blocks);
+  const std::size_t col_n = std::size_t(kRowBlock) * std::size_t(K);
+  const std::size_t prod_n = std::size_t(kRowBlock) * std::size_t(OC);
+  const std::size_t acc_n = std::size_t(OC) * 4;
+  float* col = ws.col(col_n * std::size_t(parts));
+  float* prod = ws.prod(prod_n * std::size_t(parts));
+  float* acc = ws.acc(acc_n * std::size_t(parts));
 
-  float* col = ws.col(std::size_t(kRowBlock) * std::size_t(K));
-  float* prod = ws.prod(std::size_t(kRowBlock) * std::size_t(OC));
-  float* acc = ws.acc(std::size_t(OC) * 4);
-
-  for (std::int64_t r0 = 0; r0 < out_chan; r0 += kRowBlock) {
-    const std::int64_t rblk = std::min(kRowBlock, out_chan - r0);
-
-    // im2col: one row per output voxel; padding stays zero.
-    std::fill(col, col + rblk * K, 0.0f);
-    for (std::int64_t r = 0; r < rblk; ++r) {
-      const std::int64_t s = r0 + r;
-      const std::int32_t o0 = std::int32_t(s / (std::int64_t(O1) * O2));
-      const std::int32_t o1 = std::int32_t((s / O2) % O1);
-      const std::int32_t o2 = std::int32_t(s % O2);
-      float* crow = col + r * K;
-      const std::int32_t k2_lo = std::max(0, pad - o2);
-      const std::int32_t k2_hi = std::min(kernel, D2 + pad - o2);
-      if (k2_lo >= k2_hi) continue;
-      for (std::int32_t ic = 0; ic < IC; ++ic) {
-        const float* ichan = in + ic * in_chan;
-        float* cchan = crow + ic * k3;
-        for (std::int32_t k0 = 0; k0 < kernel; ++k0) {
-          const std::int32_t z0 = o0 + k0 - pad;
-          if (z0 < 0 || z0 >= D0) continue;
-          for (std::int32_t k1 = 0; k1 < kernel; ++k1) {
-            const std::int32_t z1 = o1 + k1 - pad;
-            if (z1 < 0 || z1 >= D1) continue;
-            float* cdst = cchan + (std::int64_t(k0) * kernel + k1) * kernel + k2_lo;
-            const float* isrc = ichan + std::int64_t(z0) * in_plane +
-                                std::int64_t(z1) * D2 + (o2 + k2_lo - pad);
-            std::copy(isrc, isrc + (k2_hi - k2_lo), cdst);
-          }
-        }
-      }
+  util::team_run(parts, [&](std::int32_t part, std::int32_t parts_run) {
+    const auto [b, e] = util::part_range(blocks, part, parts_run);
+    for (std::int64_t blk = b; blk < e; ++blk) {
+      const std::int64_t r0 = blk * kRowBlock;
+      im2col_block(in, wt, bias, out, IC, D0, D1, D2, kernel, pad, O1, O2, OC,
+                   out_chan, r0, std::min(kRowBlock, out_chan - r0),
+                   col + col_n * std::size_t(part),
+                   prod + prod_n * std::size_t(part),
+                   acc + acc_n * std::size_t(part));
     }
-
-    gemm_block_generic(col, rblk, K, OC, wt, bias, prod, acc);
-
-    // Scatter (row, oc) back to the channel-major output layout.
-    for (std::int64_t r = 0; r < rblk; ++r) {
-      float* obase = out + r0 + r;
-      const float* p = prod + r * OC;
-      for (std::int32_t oc = 0; oc < OC; ++oc) {
-        obase[std::int64_t(oc) * out_chan] = p[oc];
-      }
-    }
-  }
+  });
 }
 
 }  // namespace
@@ -390,11 +430,13 @@ void Conv3d::infer_into(const float* in, std::int32_t D0, std::int32_t D1,
 
   const std::int64_t K = std::int64_t(IC) * kernel_ * kernel_ * kernel_;
   float* wt = scratch.wt(std::size_t(K) * std::size_t(OC));
-  for (std::int32_t oc = 0; oc < OC; ++oc) {
-    for (std::int64_t kk = 0; kk < K; ++kk) {
-      wt[std::size_t(kk) * std::size_t(OC) + std::size_t(oc)] = w[oc * K + kk];
+  util::team_for(K, K * OC, [&](std::int64_t b, std::int64_t e) {
+    for (std::int32_t oc = 0; oc < OC; ++oc) {
+      for (std::int64_t kk = b; kk < e; ++kk) {
+        wt[std::size_t(kk) * std::size_t(OC) + std::size_t(oc)] = w[oc * K + kk];
+      }
     }
-  }
+  });
 
   if (kernel_ == 3 && padding_ == 1) {
     switch (OC) {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/team.hpp"
+
 namespace oar::nn {
 
 namespace {
@@ -20,6 +22,18 @@ inline void group_stats(const float* x, std::int64_t group_size, float eps,
   const double var = std::max(0.0, sum_sq / double(group_size) - mu * mu);
   *mu_out = float(mu);
   *inv_out = float(1.0 / std::sqrt(var + eps));
+}
+
+/// Run body(g) for every group, groups split across the inference team.
+/// A group's moments are one sequential double sum whatever the split, so
+/// team and serial runs are bitwise equal.
+template <typename Body>
+void for_each_group(std::int32_t groups, std::int32_t channels,
+                    std::int64_t spatial, Body&& body) {
+  util::team_for(groups, 2 * std::int64_t(channels) * spatial,
+                 [&](std::int64_t b, std::int64_t e) {
+                   for (std::int64_t g = b; g < e; ++g) body(std::int32_t(g));
+                 });
 }
 }  // namespace
 
@@ -86,7 +100,7 @@ void GroupNorm::infer_into(const float* in, std::int64_t spatial,
                            float* out) const {
   const std::int32_t cpg = channels_ / groups_;
   const std::int64_t group_size = cpg * spatial;
-  for (std::int32_t g = 0; g < groups_; ++g) {
+  for_each_group(groups_, channels_, spatial, [&](std::int32_t g) {
     const std::int64_t base = std::int64_t(g) * group_size;
     float mu, inv;
     group_stats(in + base, group_size, eps_, &mu, &inv);
@@ -101,13 +115,13 @@ void GroupNorm::infer_into(const float* in, std::int64_t spatial,
         yr[i] = gam * ((xr[i] - mu) * inv) + bet;
       }
     }
-  }
+  });
 }
 
 void GroupNorm::infer_relu_inplace(float* x, std::int64_t spatial) const {
   const std::int32_t cpg = channels_ / groups_;
   const std::int64_t group_size = cpg * spatial;
-  for (std::int32_t g = 0; g < groups_; ++g) {
+  for_each_group(groups_, channels_, spatial, [&](std::int32_t g) {
     const std::int64_t base = std::int64_t(g) * group_size;
     float mu, inv;
     group_stats(x + base, group_size, eps_, &mu, &inv);
@@ -121,14 +135,14 @@ void GroupNorm::infer_relu_inplace(float* x, std::int64_t spatial) const {
         xr[i] = v > 0.0f ? v : 0.0f;
       }
     }
-  }
+  });
 }
 
 void GroupNorm::infer_add_relu_inplace(float* x, const float* skip,
                                        std::int64_t spatial) const {
   const std::int32_t cpg = channels_ / groups_;
   const std::int64_t group_size = cpg * spatial;
-  for (std::int32_t g = 0; g < groups_; ++g) {
+  for_each_group(groups_, channels_, spatial, [&](std::int32_t g) {
     const std::int64_t base = std::int64_t(g) * group_size;
     float mu, inv;
     group_stats(x + base, group_size, eps_, &mu, &inv);
@@ -144,7 +158,7 @@ void GroupNorm::infer_add_relu_inplace(float* x, const float* skip,
         xr[i] = v > 0.0f ? v : 0.0f;
       }
     }
-  }
+  });
 }
 
 Tensor GroupNorm::backward(const Tensor& grad_output) {

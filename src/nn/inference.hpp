@@ -23,6 +23,16 @@
 // workers' forwards under one selector mutex.  Standalone eval-mode layer
 // forwards fall back to local_inference_scratch(), one per thread.
 //
+// Within one forward, every layer splits across the process-wide inference
+// team (util/team.hpp, DESIGN.md §11): the forward's own thread plus up to
+// hardware_concurrency - 1 helpers write disjoint slices of the arena's
+// tensors, and a kernel that needs a workspace per part sizes it from
+// ForkJoinTeam::parts_for and hands each part its own slice.  Only the
+// calling thread ever push()es, rewinds or grows the arena.  The split
+// never changes per-element arithmetic, so a forward is bitwise the same
+// whether the team runs it or it runs inline (on a ThreadPool worker,
+// while another forward holds the team, or below the work threshold).
+//
 // Lifetime contract: tensors returned by push() stay valid until the slot
 // is handed out again after a rewind().  UNet3d::infer never rewinds — the
 // caller rewinds first, optionally push()es the input tensor, then runs

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/team.hpp"
+
 namespace oar::nn {
 
 Tensor MaxPool3d::forward(const Tensor& input) {
@@ -54,10 +56,14 @@ Tensor MaxPool3d::forward(const Tensor& input) {
 void MaxPool3d::infer_into(const float* in, std::int32_t C, std::int32_t D0,
                            std::int32_t D1, std::int32_t D2, float* out) const {
   const std::int32_t O0 = out_dim(D0), O1 = out_dim(D1), O2 = out_dim(D2);
-  std::int64_t oi = 0;
-  for (std::int32_t c = 0; c < C; ++c) {
-    const std::int64_t cbase = std::int64_t(c) * D0 * D1 * D2;
-    for (std::int32_t o0 = 0; o0 < O0; ++o0) {
+  // (channel, o0) output rows split across the inference team.
+  const std::int64_t rows = std::int64_t(C) * O0;
+  util::team_for(rows, rows * O1 * O2 * 4, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t row = b; row < e; ++row) {
+      const std::int32_t c = std::int32_t(row / O0);
+      const std::int32_t o0 = std::int32_t(row % O0);
+      const std::int64_t cbase = std::int64_t(c) * D0 * D1 * D2;
+      std::int64_t oi = row * O1 * O2;
       for (std::int32_t o1 = 0; o1 < O1; ++o1) {
         for (std::int32_t o2 = 0; o2 < O2; ++o2, ++oi) {
           float best = -std::numeric_limits<float>::infinity();
@@ -73,7 +79,7 @@ void MaxPool3d::infer_into(const float* in, std::int32_t C, std::int32_t D0,
         }
       }
     }
-  }
+  });
 }
 
 Tensor MaxPool3d::backward(const Tensor& grad_output) {
@@ -104,11 +110,15 @@ void UpsampleNearest3d::infer_into(const float* in, std::int32_t C,
                                    std::int32_t D0, std::int32_t D1,
                                    std::int32_t D2, float* out) const {
   assert(t0_ > 0 && t1_ > 0 && t2_ > 0);
-  std::int64_t oi = 0;
-  for (std::int32_t c = 0; c < C; ++c) {
-    const std::int64_t cbase = std::int64_t(c) * D0 * D1 * D2;
-    for (std::int32_t o0 = 0; o0 < t0_; ++o0) {
+  // (channel, o0) output rows split across the inference team.
+  const std::int64_t rows = std::int64_t(C) * t0_;
+  util::team_for(rows, rows * t1_ * t2_, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t row = b; row < e; ++row) {
+      const std::int32_t c = std::int32_t(row / t0_);
+      const std::int32_t o0 = std::int32_t(row % t0_);
+      const std::int64_t cbase = std::int64_t(c) * D0 * D1 * D2;
       const std::int32_t z0 = std::min(D0 - 1, std::int32_t(std::int64_t(o0) * D0 / t0_));
+      std::int64_t oi = row * t1_ * t2_;
       for (std::int32_t o1 = 0; o1 < t1_; ++o1) {
         const std::int32_t z1 = std::min(D1 - 1, std::int32_t(std::int64_t(o1) * D1 / t1_));
         for (std::int32_t o2 = 0; o2 < t2_; ++o2, ++oi) {
@@ -118,7 +128,7 @@ void UpsampleNearest3d::infer_into(const float* in, std::int32_t C,
         }
       }
     }
-  }
+  });
 }
 
 Tensor UpsampleNearest3d::backward(const Tensor& grad_output) {

@@ -1,6 +1,7 @@
 #include "nn/quant/quantize.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -9,6 +10,7 @@
 
 #include "nn/activations.hpp"
 #include "obs/metrics.hpp"
+#include "util/team.hpp"
 #include "util/validate.hpp"
 
 namespace oar::nn {
@@ -101,26 +103,31 @@ void scale_from_max(float mx, float& scale, float& inv) {
 void pool_nhwc(const std::uint8_t* in, std::int32_t Cp, std::int32_t D0,
                std::int32_t D1, std::int32_t D2, std::uint8_t* out) {
   const std::int32_t O0 = (D0 + 1) / 2, O1 = (D1 + 1) / 2, O2 = (D2 + 1) / 2;
-  std::uint8_t* ov = out;
-  for (std::int32_t o0 = 0; o0 < O0; ++o0) {
-    for (std::int32_t o1 = 0; o1 < O1; ++o1) {
-      for (std::int32_t o2 = 0; o2 < O2; ++o2, ov += Cp) {
-        std::memset(ov, 0, std::size_t(Cp));
-        for (std::int32_t z0 = o0 * 2; z0 < std::min(D0, o0 * 2 + 2); ++z0) {
-          for (std::int32_t z1 = o1 * 2; z1 < std::min(D1, o1 * 2 + 2); ++z1) {
-            for (std::int32_t z2 = o2 * 2; z2 < std::min(D2, o2 * 2 + 2);
-                 ++z2) {
-              const std::uint8_t* iv =
-                  in + ((std::int64_t(z0) * D1 + z1) * D2 + z2) * Cp;
-              for (std::int32_t c = 0; c < Cp; ++c) {
-                ov[c] = std::max(ov[c], iv[c]);
+  const std::int64_t row = std::int64_t(O1) * O2 * Cp;  // bytes per o0 row
+  // Output rows o0 split across the inference team.
+  util::team_for(O0, O0 * row * 2, [&](std::int64_t b, std::int64_t e) {
+    std::uint8_t* ov = out + b * row;
+    for (std::int32_t o0 = std::int32_t(b); o0 < std::int32_t(e); ++o0) {
+      for (std::int32_t o1 = 0; o1 < O1; ++o1) {
+        for (std::int32_t o2 = 0; o2 < O2; ++o2, ov += Cp) {
+          std::memset(ov, 0, std::size_t(Cp));
+          for (std::int32_t z0 = o0 * 2; z0 < std::min(D0, o0 * 2 + 2); ++z0) {
+            for (std::int32_t z1 = o1 * 2; z1 < std::min(D1, o1 * 2 + 2);
+                 ++z1) {
+              for (std::int32_t z2 = o2 * 2; z2 < std::min(D2, o2 * 2 + 2);
+                   ++z2) {
+                const std::uint8_t* iv =
+                    in + ((std::int64_t(z0) * D1 + z1) * D2 + z2) * Cp;
+                for (std::int32_t c = 0; c < Cp; ++c) {
+                  ov[c] = std::max(ov[c], iv[c]);
+                }
               }
             }
           }
         }
       }
     }
-  }
+  });
 }
 
 /// Nearest-upsample `prev` (C1 real channels, stride ceil4(C1)) from
@@ -134,24 +141,162 @@ void upsample_concat_nhwc(const std::uint8_t* prev, std::int32_t C1,
   const std::int32_t c1p = ceil4(C1), c2p = ceil4(C2);
   const std::int32_t icp_cat = ceil4(C1 + C2);
   const std::int32_t pad = icp_cat - C1 - C2;
-  std::uint8_t* ov = cat;
-  std::int64_t voxel = 0;
-  for (std::int32_t o0 = 0; o0 < t0; ++o0) {
-    const std::int32_t z0 =
-        std::min(s0 - 1, std::int32_t(std::int64_t(o0) * s0 / t0));
-    for (std::int32_t o1 = 0; o1 < t1; ++o1) {
-      const std::int32_t z1 =
-          std::min(s1 - 1, std::int32_t(std::int64_t(o1) * s1 / t1));
-      for (std::int32_t o2 = 0; o2 < t2; ++o2, ov += icp_cat, ++voxel) {
-        const std::int32_t z2 =
-            std::min(s2 - 1, std::int32_t(std::int64_t(o2) * s2 / t2));
-        const std::uint8_t* uv =
-            prev + ((std::int64_t(z0) * s1 + z1) * s2 + z2) * c1p;
-        std::memcpy(ov, uv, std::size_t(C1));
-        std::memcpy(ov + C1, skip + voxel * c2p, std::size_t(C2));
-        if (pad > 0) std::memset(ov + C1 + C2, 0, std::size_t(pad));
+  const std::int64_t row = std::int64_t(t1) * t2;  // voxels per o0 row
+  // Output rows o0 split across the inference team.
+  util::team_for(t0, t0 * row * icp_cat / 2, [&](std::int64_t b, std::int64_t e) {
+    std::uint8_t* ov = cat + b * row * icp_cat;
+    std::int64_t voxel = b * row;
+    for (std::int32_t o0 = std::int32_t(b); o0 < std::int32_t(e); ++o0) {
+      const std::int32_t z0 =
+          std::min(s0 - 1, std::int32_t(std::int64_t(o0) * s0 / t0));
+      for (std::int32_t o1 = 0; o1 < t1; ++o1) {
+        const std::int32_t z1 =
+            std::min(s1 - 1, std::int32_t(std::int64_t(o1) * s1 / t1));
+        for (std::int32_t o2 = 0; o2 < t2; ++o2, ov += icp_cat, ++voxel) {
+          const std::int32_t z2 =
+              std::min(s2 - 1, std::int32_t(std::int64_t(o2) * s2 / t2));
+          const std::uint8_t* uv =
+              prev + ((std::int64_t(z0) * s1 + z1) * s2 + z2) * c1p;
+          std::memcpy(ov, uv, std::size_t(C1));
+          std::memcpy(ov + C1, skip + voxel * c2p, std::size_t(C2));
+          if (pad > 0) std::memset(ov + C1 + C2, 0, std::size_t(pad));
+        }
       }
     }
+  });
+}
+
+/// 2^20: >= 128, so clipped values stay clipped through the int conversion.
+constexpr float kRequantGuard = 1048576.0f;
+
+/// Which residual term requant_spans adds (QuantizedUNet3d::Skip).
+enum class SkipKind { kNone, kProj, kIdentity };
+
+/// requant_norm's pass 2 over elements [i0, i1) of the accumulator, in
+/// spans of L values that start on voxel boundaries (coefficient j faces
+/// channel j % OC); returns the clip count.  The skip term is dequantized
+/// in place — projection accumulator `pa` or identity input `pq`, with
+/// per-channel tables Ps / Pb tiled like A / B — in the same two float
+/// operations a separate dequantization pass would spend, so fusing it
+/// saves a pass over memory without moving a bit.  Every step stays
+/// branch-free in a form GCC's vectorizer accepts: max/min instead of
+/// if-clamps, round-half-up via truncate(r + 0.5) (rintf and the
+/// magic-constant trick both block vectorization), and the clip test in
+/// the integer domain (a float compare feeding an integer reduction does
+/// too).  The float min at
+/// kRequantGuard bounds the int conversion away from overflow without
+/// disturbing the t > 127 test.  The __restrict parameters let the
+/// compiler vectorize across channels (the u8 output store would otherwise
+/// be assumed to alias the coefficient tables, forcing per-value reloads;
+/// captured lambda variables lose that guarantee, hence a function).  This
+/// pass is portable scalar C++ compiled once and shared by every dispatch
+/// level, so the rounding choice cannot break cross-level bit-exactness.
+template <SkipKind kKind>
+std::uint64_t requant_spans(const std::int32_t* __restrict ap,
+                            const std::int32_t* __restrict pa,
+                            const std::uint8_t* __restrict pq,
+                            const float* __restrict Ar,
+                            const float* __restrict Br,
+                            const float* __restrict Ir,
+                            const float* __restrict Ps,
+                            const float* __restrict Pb, std::int64_t L,
+                            std::int64_t i0, std::int64_t i1,
+                            std::uint8_t* __restrict op) {
+  std::uint64_t clip = 0;
+  for (std::int64_t i = i0; i < i1; i += L) {
+    const std::int64_t n = std::min(L, i1 - i);
+    std::int32_t cl = 0;
+    for (std::int64_t j = 0; j < n; ++j) {
+      float y = float(ap[i + j]) * Ar[j] + Br[j];
+      if constexpr (kKind == SkipKind::kProj) {
+        y += float(pa[i + j]) * Ps[j] + Pb[j];
+      } else if constexpr (kKind == SkipKind::kIdentity) {
+        y += float(pq[i + j]) * Ps[j];
+      }
+      y = std::max(0.0f, y);
+      const float r = std::min(y * Ir[j], kRequantGuard);
+      const std::int32_t t = std::int32_t(r + 0.5f);
+      cl += std::int32_t(t > 127);
+      op[i + j] = std::uint8_t(std::min(t, 127));
+    }
+    clip += std::uint64_t(cl);
+  }
+  return clip;
+}
+
+/// conv3_nhwc with its output rows split across the inference team.
+void conv3_team(const simd::Kernels& k, const std::uint8_t* act,
+                std::int32_t D0, std::int32_t D1, std::int32_t D2,
+                std::int32_t ICp, const std::int8_t* wp, std::int32_t OC,
+                std::int32_t* acc) {
+  // ~32 int8 multiply-adds per ns on the vector levels.
+  const std::int64_t work = std::int64_t(D0) * D1 * D2 * ICp * OC * 27 / 32;
+  util::team_for(D0, work, [&](std::int64_t b, std::int64_t e) {
+    k.conv3_nhwc(act, D0, D1, D2, ICp, wp, OC, std::int32_t(b),
+                 std::int32_t(e), acc);
+  });
+}
+
+/// conv1_nhwc with its voxels split across the inference team.
+void conv1_team(const simd::Kernels& k, const std::uint8_t* act,
+                std::int64_t S, std::int32_t ICp, const std::int8_t* wp,
+                std::int32_t OC, std::int32_t* acc) {
+  util::team_for(S, S * ICp * OC / 32, [&](std::int64_t b, std::int64_t e) {
+    k.conv1_nhwc(act + b * ICp, e - b, ICp, wp, OC, acc + b * OC);
+  });
+}
+
+/// Exact integer moments of channels [c0, c0 + W) over voxels [vb, ve):
+/// s = sum(acc), q = sum(acc^2).  Integer sums are associative, so any
+/// split of the voxels gives the same totals.  Squares accumulate in
+/// uint64 over blocks of `block` voxels — short enough that a block cannot
+/// overflow — and each block folds into a 128-bit total.  W fixed-size
+/// local accumulators stay in registers across the spatial scan (the
+/// heap-pointer form pays a store-forward round trip per value because the
+/// output could alias `acc`).
+template <std::int32_t W>
+void channel_moments(const std::int32_t* acc, std::int32_t OC,
+                     std::int64_t vb, std::int64_t ve, std::int64_t block,
+                     std::int32_t c0, std::int64_t* s_out,
+                     unsigned __int128* q_out) {
+  std::int64_t s[W] = {};
+  unsigned __int128 q[W] = {};
+  for (std::int64_t b = vb; b < ve; b += block) {
+    const std::int64_t e = std::min(ve, b + block);
+    std::uint64_t z[W] = {};
+    const std::int32_t* av = acc + b * OC + c0;
+    for (std::int64_t v = b; v < e; ++v, av += OC) {
+      for (std::int32_t j = 0; j < W; ++j) {
+        const std::int64_t d = av[j];
+        s[j] += d;
+        z[j] += std::uint64_t(d * d);
+      }
+    }
+    for (std::int32_t j = 0; j < W; ++j) q[j] += z[j];
+  }
+  for (std::int32_t j = 0; j < W; ++j) {
+    s_out[c0 + j] = s[j];
+    q_out[c0 + j] = q[j];
+  }
+}
+
+/// channel_moments over every channel, in tiles of at most 8.
+void channel_moments_all(const std::int32_t* acc, std::int32_t OC,
+                         std::int64_t vb, std::int64_t ve, std::int64_t block,
+                         std::int64_t* s, unsigned __int128* q) {
+  std::int32_t c = 0;
+  for (; c + 8 <= OC; c += 8) {
+    channel_moments<8>(acc, OC, vb, ve, block, c, s, q);
+  }
+  switch (OC - c) {
+    case 7: channel_moments<7>(acc, OC, vb, ve, block, c, s, q); break;
+    case 6: channel_moments<6>(acc, OC, vb, ve, block, c, s, q); break;
+    case 5: channel_moments<5>(acc, OC, vb, ve, block, c, s, q); break;
+    case 4: channel_moments<4>(acc, OC, vb, ve, block, c, s, q); break;
+    case 3: channel_moments<3>(acc, OC, vb, ve, block, c, s, q); break;
+    case 2: channel_moments<2>(acc, OC, vb, ve, block, c, s, q); break;
+    case 1: channel_moments<1>(acc, OC, vb, ve, block, c, s, q); break;
+    default: break;
   }
 }
 
@@ -190,87 +335,95 @@ void QuantizedUNet3d::quantize_input(const float* features, std::int32_t H,
                                      std::uint8_t* q) {
   const std::int32_t C = cfg_.in_channels, Cp = input_icp();
   const std::int64_t S = std::int64_t(H) * V * M;
-  std::uint64_t clip = 0;
-  for (std::int64_t v = 0; v < S; ++v) {
-    std::uint8_t* qv = q + v * Cp;
-    for (std::int32_t c = 0; c < C; ++c) {
-      const float r = features[std::int64_t(c) * S + v] * in_inv_[std::size_t(c)];
-      if (r > 127.0f) {
-        qv[c] = 127;
-        ++clip;
-      } else if (r <= 0.0f) {
-        qv[c] = 0;
-      } else {
-        qv[c] = std::uint8_t(std::int32_t(std::rint(r)));
+  std::atomic<std::uint64_t> clip{0};
+  util::team_for(S, S * Cp * 2, [&](std::int64_t b, std::int64_t e) {
+    std::uint64_t part_clip = 0;
+    for (std::int64_t v = b; v < e; ++v) {
+      std::uint8_t* qv = q + v * Cp;
+      for (std::int32_t c = 0; c < C; ++c) {
+        const float r =
+            features[std::int64_t(c) * S + v] * in_inv_[std::size_t(c)];
+        if (r > 127.0f) {
+          qv[c] = 127;
+          ++part_clip;
+        } else if (r <= 0.0f) {
+          qv[c] = 0;
+        } else {
+          qv[c] = std::uint8_t(std::int32_t(std::rint(r)));
+        }
       }
+      for (std::int32_t c = C; c < Cp; ++c) qv[c] = 0;
     }
-    for (std::int32_t c = C; c < Cp; ++c) qv[c] = 0;
-  }
+    clip.fetch_add(part_clip, std::memory_order_relaxed);
+  });
   auto& o = quant_obs();
   o.values.add(std::uint64_t(S) * std::uint64_t(C));
-  if (clip > 0) o.clipped.add(clip);
+  if (clip.load() > 0) o.clipped.add(clip.load());
 }
 
 void QuantizedUNet3d::first_layer_acc(const std::uint8_t* q, std::int32_t H,
                                       std::int32_t V, std::int32_t M,
                                       std::int32_t* acc1, std::int32_t* accp) {
   const QuantBlock& b = enc_[0];
-  kernels_.conv3_nhwc(q, H, V, M, b.conv1.icp, b.conv1.w.data(), b.conv1.out_c,
-                      acc1);
+  conv3_team(kernels_, q, H, V, M, b.conv1.icp, b.conv1.w.data(),
+             b.conv1.out_c, acc1);
   if (b.has_proj) {
     assert(accp != nullptr);
-    kernels_.conv1_nhwc(q, std::int64_t(H) * V * M, b.proj.icp, b.proj.w.data(),
-                        b.proj.out_c, accp);
+    conv1_team(kernels_, q, std::int64_t(H) * V * M, b.proj.icp,
+               b.proj.w.data(), b.proj.out_c, accp);
   }
 }
 
 void QuantizedUNet3d::requant_norm(const std::int32_t* acc,
                                    const QuantConv& conv, const QuantNorm& n,
-                                   const float* skipf, std::int64_t S,
+                                   const Skip& skip, std::int64_t S,
                                    const std::vector<float>& inv_out,
                                    std::uint8_t* out) {
   const std::int32_t OC = conv.out_c, OCp = ceil4(OC);
   double* sum = grown(sum_, std::size_t(OC));
   double* sq = grown(sumsq_, std::size_t(OC));
-  std::fill(sum, sum + OC, 0.0);
-  std::fill(sq, sq + OC, 0.0);
 
-  // Pass 1: per-channel moments of the RAW accumulator (int32 converts to
-  // double exactly).  The dequantized moments follow in closed form:
-  // x = a*acc + b gives sum(x) = a*S1 + b*n and sum(x^2) = a^2*SS +
-  // 2ab*S1 + b^2*n.  Channels go in tiles of 8 with fixed-size local
-  // accumulators: the compiler keeps them in registers across the spatial
-  // scan (the heap-pointer form pays a store-forward round trip per value
-  // because `sum` could alias `acc`).  Each channel still accumulates
-  // sequentially in v order, so the result is bit-identical to the naive
-  // loop on every dispatch level.
-  std::int32_t c0 = 0;
-  for (; c0 + 8 <= OC; c0 += 8) {
-    double s[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    double z[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    const std::int32_t* av = acc + c0;
-    for (std::int64_t v = 0; v < S; ++v, av += OC) {
-      for (std::int32_t j = 0; j < 8; ++j) {
-        const double d = double(av[j]);
-        s[j] += d;
-        z[j] += d * d;
-      }
+  // Pass 1: per-channel moments of the RAW accumulator, summed exactly in
+  // integers so that the voxels can be split across the inference team
+  // in any parts with the same result.  The dequantized moments follow in
+  // closed form: x = a*acc + b gives sum(x) = a*S1 + b*n and sum(x^2) =
+  // a^2*SS + 2ab*S1 + b^2*n.  S1 and SS convert to double once; that
+  // equals a sequential double sum of the same values whenever every
+  // partial sum stays below 2^53, where such a sum is exact too.
+  //
+  // The kernel contract bounds every accumulator by k^3 * ICp * 127 * 128
+  // (u8 activations <= 127, s8 weights >= -128), which sizes the uint64
+  // square blocks.
+  const std::uint64_t dmax = std::uint64_t(conv.kernel) * conv.kernel *
+                             conv.kernel * std::uint64_t(conv.icp) * 127u *
+                             128u;
+  const std::uint64_t block_cap =
+      dmax >= (std::uint64_t(1) << 32) ? 1 : ~std::uint64_t(0) / (dmax * dmax);
+  const std::int64_t block = std::int64_t(std::max<std::uint64_t>(
+      1, std::min<std::uint64_t>(std::uint64_t(S), block_cap)));
+  const std::int32_t parts = util::ForkJoinTeam::instance().parts_for(
+      S * OC * 2, S);
+  std::int64_t* ps = grown(moment_s_, std::size_t(parts) * std::size_t(OC));
+  unsigned __int128* pq =
+      grown(moment_q_, std::size_t(parts) * std::size_t(OC));
+  // A region the team runs inline fills only part 0's slots; the others
+  // must add nothing.
+  std::fill(ps, ps + std::int64_t(parts) * OC, std::int64_t(0));
+  std::fill(pq, pq + std::int64_t(parts) * OC, 0);
+  util::team_run(parts, [&](std::int32_t part, std::int32_t parts_run) {
+    const auto [vb, ve] = util::part_range(S, part, parts_run);
+    channel_moments_all(acc, OC, vb, ve, block, ps + part * OC,
+                        pq + part * OC);
+  });
+  for (std::int32_t c = 0; c < OC; ++c) {
+    std::int64_t s1 = 0;
+    unsigned __int128 ss = 0;
+    for (std::int32_t p = 0; p < parts; ++p) {
+      s1 += ps[p * OC + c];
+      ss += pq[p * OC + c];
     }
-    for (std::int32_t j = 0; j < 8; ++j) {
-      sum[c0 + j] = s[j];
-      sq[c0 + j] = z[j];
-    }
-  }
-  for (; c0 < OC; ++c0) {
-    double s = 0.0, z = 0.0;
-    const std::int32_t* av = acc + c0;
-    for (std::int64_t v = 0; v < S; ++v, av += OC) {
-      const double d = double(*av);
-      s += d;
-      z += d * d;
-    }
-    sum[c0] = s;
-    sq[c0] = z;
+    sum[c] = double(s1);
+    sq[c] = double(ss);
   }
 
   const std::int32_t cpg = OC / n.groups;
@@ -299,20 +452,9 @@ void QuantizedUNet3d::requant_norm(const std::int32_t* acc,
     }
   }
 
-  // Pass 2: one fused affine + skip + ReLU + requantize per value.  Every
-  // step stays branch-free in a form GCC's vectorizer accepts: max/min
-  // instead of if-clamps, round-half-up via truncate(r + 0.5) (rintf and
-  // the magic-constant trick both block vectorization), and the clip test
-  // in the integer domain (a float compare feeding an integer reduction
-  // does too).  The float min at kGuard bounds the int conversion away
-  // from overflow without disturbing the t > 127 test.  __restrict-
-  // qualified locals let the compiler vectorize across channels (the u8
-  // output store would otherwise be assumed to alias the coefficient
-  // tables, forcing per-value reloads).  This pass is portable scalar C++
-  // compiled once and shared by every dispatch level, so the rounding
-  // choice cannot break cross-level bit-exactness.
-  const float kGuard = 1048576.0f;  // 2^20: >= 128 so clips stay clips
-  std::uint64_t clip = 0;
+  // Pass 2: one fused affine + skip + ReLU + requantize per value
+  // (requant_spans; the padded fallback below uses the same formula).
+  std::atomic<std::uint64_t> clip{0};
   const std::int32_t* __restrict ap = acc;
   std::uint8_t* __restrict op = out;
   if (OCp == OC) {
@@ -325,70 +467,74 @@ void QuantizedUNet3d::requant_norm(const std::int32_t* acc,
     // faces channel j % OC.
     const std::int32_t R = (128 + OC - 1) / OC;
     const std::int64_t L = std::int64_t(OC) * R;
-    float* __restrict Ar = grown(coef_rep_, std::size_t(3 * L));
+    float* __restrict Ar = grown(coef_rep_, std::size_t(5 * L));
     float* __restrict Br = Ar + L;
     float* __restrict Ir = Ar + 2 * L;
+    float* __restrict Ps = Ar + 3 * L;
+    float* __restrict Pb = Ar + 4 * L;
+    const std::size_t row = std::size_t(OC) * 4;
     for (std::int32_t r = 0; r < R; ++r) {
-      std::memcpy(Ar + std::int64_t(r) * OC, A_c, std::size_t(OC) * 4);
-      std::memcpy(Br + std::int64_t(r) * OC, B_c, std::size_t(OC) * 4);
-      std::memcpy(Ir + std::int64_t(r) * OC, inv_out.data(),
-                  std::size_t(OC) * 4);
+      const std::int64_t o = std::int64_t(r) * OC;
+      std::memcpy(Ar + o, A_c, row);
+      std::memcpy(Br + o, B_c, row);
+      std::memcpy(Ir + o, inv_out.data(), row);
+      if (skip.scale != nullptr) std::memcpy(Ps + o, skip.scale, row);
+      if (skip.bias != nullptr) std::memcpy(Pb + o, skip.bias, row);
     }
+    // Identity skips read the block input at its own voxel stride, which
+    // equals OC here (in_c == out_c, a multiple of 4).
+    assert(skip.q == nullptr || skip.q_stride == OC);
+    // Whole spans are split across the inference team, so every part
+    // starts on a voxel boundary too.
     const std::int64_t N = S * OC;
-    if (skipf != nullptr) {
-      const float* __restrict sk = skipf;
-      for (std::int64_t i = 0; i < N; i += L) {
-        const std::int64_t n = std::min(L, N - i);
-        std::int32_t cl = 0;
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float y =
-              std::max(0.0f, float(ap[i + j]) * Ar[j] + Br[j] + sk[i + j]);
-          const float r = std::min(y * Ir[j], kGuard);
-          const std::int32_t t = std::int32_t(r + 0.5f);
-          cl += std::int32_t(t > 127);
-          op[i + j] = std::uint8_t(std::min(t, 127));
-        }
-        clip += std::uint64_t(cl);
-      }
-    } else {
-      for (std::int64_t i = 0; i < N; i += L) {
-        const std::int64_t n = std::min(L, N - i);
-        std::int32_t cl = 0;
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float y = std::max(0.0f, float(ap[i + j]) * Ar[j] + Br[j]);
-          const float r = std::min(y * Ir[j], kGuard);
-          const std::int32_t t = std::int32_t(r + 0.5f);
-          cl += std::int32_t(t > 127);
-          op[i + j] = std::uint8_t(std::min(t, 127));
-        }
-        clip += std::uint64_t(cl);
-      }
-    }
+    const std::int64_t spans = (N + L - 1) / L;
+    util::team_for(spans, N, [&](std::int64_t sb, std::int64_t se) {
+      const std::int64_t b = sb * L, e = std::min(N, se * L);
+      const std::uint64_t cl =
+          skip.acc != nullptr
+              ? requant_spans<SkipKind::kProj>(ap, skip.acc, nullptr, Ar, Br,
+                                               Ir, Ps, Pb, L, b, e, op)
+          : skip.q != nullptr
+              ? requant_spans<SkipKind::kIdentity>(ap, nullptr, skip.q, Ar, Br,
+                                                   Ir, Ps, Pb, L, b, e, op)
+              : requant_spans<SkipKind::kNone>(ap, nullptr, nullptr, Ar, Br,
+                                               Ir, Ps, Pb, L, b, e, op);
+      clip.fetch_add(cl, std::memory_order_relaxed);
+    });
   } else {
     // Padded fallback (OC not a multiple of 4): per-voxel loops with an
     // explicit zeroed tail.  Same elementwise formula, same results.
     const float* __restrict Af = A_c;
     const float* __restrict Bf = B_c;
     const float* __restrict iv = inv_out.data();
-    for (std::int64_t v = 0; v < S; ++v) {
-      const std::int32_t* av = ap + v * OC;
-      std::uint8_t* ov = op + v * OCp;
-      std::int32_t cl = 0;
-      for (std::int32_t c = 0; c < OC; ++c) {
-        const float s = skipf != nullptr ? skipf[v * OC + c] : 0.0f;
-        const float y = std::max(0.0f, float(av[c]) * Af[c] + Bf[c] + s);
-        const float r = std::min(y * iv[c], kGuard);
-        const std::int32_t t = std::int32_t(r + 0.5f);
-        cl += std::int32_t(t > 127);
-        ov[c] = std::uint8_t(std::min(t, 127));
+    util::team_for(S, S * OC, [&](std::int64_t b, std::int64_t e) {
+      std::uint64_t part_clip = 0;
+      for (std::int64_t v = b; v < e; ++v) {
+        const std::int32_t* av = ap + v * OC;
+        std::uint8_t* ov = op + v * OCp;
+        std::int32_t cl = 0;
+        for (std::int32_t c = 0; c < OC; ++c) {
+          float s = 0.0f;
+          if (skip.acc != nullptr) {
+            s = float(skip.acc[v * OC + c]) * skip.scale[c] + skip.bias[c];
+          } else if (skip.q != nullptr) {
+            s = float(skip.q[v * skip.q_stride + c]) * skip.scale[c];
+          }
+          const float y = std::max(0.0f, float(av[c]) * Af[c] + Bf[c] + s);
+          const float r = std::min(y * iv[c], kRequantGuard);
+          const std::int32_t t = std::int32_t(r + 0.5f);
+          cl += std::int32_t(t > 127);
+          ov[c] = std::uint8_t(std::min(t, 127));
+        }
+        for (std::int32_t c = OC; c < OCp; ++c) ov[c] = 0;
+        part_clip += std::uint64_t(cl);
       }
-      for (std::int32_t c = OC; c < OCp; ++c) ov[c] = 0;
-      clip += std::uint64_t(cl);
-    }
+      clip.fetch_add(part_clip, std::memory_order_relaxed);
+    });
   }
   auto& o = quant_obs();
   o.values.add(std::uint64_t(S) * std::uint64_t(OC));
-  if (clip > 0) o.clipped.add(clip);
+  if (clip.load() > 0) o.clipped.add(clip.load());
 }
 
 void QuantizedUNet3d::run_block(const QuantBlock& b, const std::uint8_t* in,
@@ -402,41 +548,34 @@ void QuantizedUNet3d::run_block(const QuantBlock& b, const std::uint8_t* in,
   const std::int32_t* acc1 = acc1_pre;
   if (acc1 == nullptr) {
     std::int32_t* a = grown(acc_a_, std::size_t(S) * std::size_t(OC));
-    kernels_.conv3_nhwc(in, d0, d1, d2, b.conv1.icp, b.conv1.w.data(), OC, a);
+    conv3_team(kernels_, in, d0, d1, d2, b.conv1.icp, b.conv1.w.data(), OC, a);
     acc1 = a;
   }
 
   std::uint8_t* mid = grown(mid_, std::size_t(S) * std::size_t(ceil4(OC)));
-  requant_norm(acc1, b.conv1, b.n1, nullptr, S, b.mid_inv, mid);
+  requant_norm(acc1, b.conv1, b.n1, Skip{}, S, b.mid_inv, mid);
 
   std::int32_t* acc2 = grown(acc_b_, std::size_t(S) * std::size_t(OC));
-  kernels_.conv3_nhwc(mid, d0, d1, d2, ceil4(OC), b.conv2.w.data(), OC, acc2);
+  conv3_team(kernels_, mid, d0, d1, d2, ceil4(OC), b.conv2.w.data(), OC, acc2);
 
-  float* skipf = grown(skipf_, std::size_t(S) * std::size_t(OC));
+  Skip skip;
   if (b.has_proj) {
     const std::int32_t* accp = accp_pre;
     if (accp == nullptr) {
       std::int32_t* a = grown(acc_p_, std::size_t(S) * std::size_t(OC));
-      kernels_.conv1_nhwc(in, S, b.proj.icp, b.proj.w.data(), OC, a);
+      conv1_team(kernels_, in, S, b.proj.icp, b.proj.w.data(), OC, a);
       accp = a;
     }
-    for (std::int64_t v = 0; v < S; ++v) {
-      for (std::int32_t c = 0; c < OC; ++c) {
-        skipf[v * OC + c] = float(accp[v * OC + c]) * b.proj.scale[std::size_t(c)] +
-                            b.proj.bias[std::size_t(c)];
-      }
-    }
+    skip.acc = accp;
+    skip.scale = b.proj.scale.data();
+    skip.bias = b.proj.bias.data();
   } else {
-    // Identity skip: dequantize the block input (in_c == out_c here).
-    const std::int32_t icp = b.conv1.icp;
-    for (std::int64_t v = 0; v < S; ++v) {
-      for (std::int32_t c = 0; c < OC; ++c) {
-        skipf[v * OC + c] =
-            float(in[v * icp + c]) * b.in_scale[std::size_t(c)];
-      }
-    }
+    // Identity skip: the block input itself (in_c == out_c here).
+    skip.q = in;
+    skip.q_stride = b.conv1.icp;
+    skip.scale = b.in_scale.data();
   }
-  requant_norm(acc2, b.conv2, b.n2, skipf, S, b.out_inv, out);
+  requant_norm(acc2, b.conv2, b.n2, skip, S, b.out_inv, out);
 }
 
 void QuantizedUNet3d::infer_from_first_layer(const std::uint8_t* q,
@@ -509,11 +648,14 @@ void QuantizedUNet3d::infer_from_first_layer(const std::uint8_t* q,
   assert(head_.out_c == 1);
   const std::int64_t S = std::int64_t(H) * V * M;
   std::int32_t* ha = grown(acc_a_, std::size_t(S));
-  kernels_.conv1_nhwc(cur, S, head_.icp, head_.w.data(), 1, ha);
   float* lg = grown(logits_, std::size_t(S));
-  for (std::int64_t v = 0; v < S; ++v) {
-    lg[v] = float(ha[v]) * head_.scale[0] + head_.bias[0];
-  }
+  util::team_for(S, S * head_.icp, [&](std::int64_t vb, std::int64_t ve) {
+    kernels_.conv1_nhwc(cur + vb * head_.icp, ve - vb, head_.icp,
+                        head_.w.data(), 1, ha + vb);
+    for (std::int64_t v = vb; v < ve; ++v) {
+      lg[v] = float(ha[v]) * head_.scale[0] + head_.bias[0];
+    }
+  });
   out.resize(std::size_t(S));
   sigmoid_into(lg, S, out.data());
   quant_obs().int8_forwards.inc();

@@ -164,8 +164,20 @@ class QuantizedUNet3d {
   void run_block(const QuantBlock& b, const std::uint8_t* in, std::int32_t d0,
                  std::int32_t d1, std::int32_t d2, const std::int32_t* acc1_pre,
                  const std::int32_t* accp_pre, std::uint8_t* out);
+  /// The residual term requant_norm adds before the final ReLU,
+  /// dequantized where it is read: a 1x1 projection accumulator
+  /// (x = acc * scale + bias, OC values per voxel) or the identity block
+  /// input (x = q * scale, `q_stride` bytes per voxel).  Neither set means
+  /// no skip (the norm1 position).
+  struct Skip {
+    const std::int32_t* acc = nullptr;
+    const std::uint8_t* q = nullptr;
+    std::int32_t q_stride = 0;
+    const float* scale = nullptr;
+    const float* bias = nullptr;
+  };
   void requant_norm(const std::int32_t* acc, const QuantConv& conv,
-                    const QuantNorm& n, const float* skipf, std::int64_t S,
+                    const QuantNorm& n, const Skip& skip, std::int64_t S,
                     const std::vector<float>& inv_out, std::uint8_t* out);
   template <typename T>
   T* grown(std::vector<T>& v, std::size_t n);
@@ -185,8 +197,10 @@ class QuantizedUNet3d {
   std::vector<std::int32_t> acc_a_, acc_b_, acc_p_;
   std::vector<std::uint8_t> qin_, mid_, cat_, bott_, ping_, pong_;
   std::vector<std::vector<std::uint8_t>> skip_, down_;
-  std::vector<float> skipf_, logits_, mu_c_, inv_c_, coef_rep_;
+  std::vector<float> logits_, mu_c_, inv_c_, coef_rep_;
   std::vector<double> sum_, sumsq_;
+  std::vector<std::int64_t> moment_s_;        // [parts * OC] partial sums
+  std::vector<unsigned __int128> moment_q_;  // [parts * OC] partial squares
   std::uint64_t grow_events_ = 0;
 };
 

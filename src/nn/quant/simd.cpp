@@ -16,10 +16,11 @@ namespace {
 
 void conv3_nhwc_scalar(const std::uint8_t* act, std::int32_t D0, std::int32_t D1,
                        std::int32_t D2, std::int32_t ICp, const std::int8_t* wp,
-                       std::int32_t OC, std::int32_t* acc) {
+                       std::int32_t OC, std::int32_t o0_begin,
+                       std::int32_t o0_end, std::int32_t* acc) {
   const std::int32_t G = ICp / 4;
-  std::int32_t* out = acc;
-  for (std::int32_t o0 = 0; o0 < D0; ++o0) {
+  std::int32_t* out = acc + std::int64_t(o0_begin) * D1 * D2 * OC;
+  for (std::int32_t o0 = o0_begin; o0 < o0_end; ++o0) {
     for (std::int32_t o1 = 0; o1 < D1; ++o1) {
       for (std::int32_t o2 = 0; o2 < D2; ++o2, out += OC) {
         for (std::int32_t oc = 0; oc < OC; ++oc) out[oc] = 0;

@@ -49,10 +49,15 @@ enum class Level : std::int32_t {
 
 struct Kernels {
   /// 3x3x3 "same" convolution over an NHWC uint8 volume (D0, D1, D2, ICp)
-  /// into voxel-major int32 accumulators acc[(D0*D1*D2) * OC].
+  /// into voxel-major int32 accumulators acc[(D0*D1*D2) * OC], for output
+  /// rows o0 in [o0_begin, o0_end) only: `acc` is the whole volume's base
+  /// and no other row is written.  Row ranges are how the inference team
+  /// splits one convolution; every voxel's sum is the same exact integer
+  /// whatever the range.
   void (*conv3_nhwc)(const std::uint8_t* act, std::int32_t D0, std::int32_t D1,
                      std::int32_t D2, std::int32_t ICp, const std::int8_t* wp,
-                     std::int32_t OC, std::int32_t* acc);
+                     std::int32_t OC, std::int32_t o0_begin,
+                     std::int32_t o0_end, std::int32_t* acc);
   /// 1x1x1 convolution: S voxels of ICp channels -> acc[S * OC].
   void (*conv1_nhwc)(const std::uint8_t* act, std::int64_t S, std::int32_t ICp,
                      const std::int8_t* wp, std::int32_t OC, std::int32_t* acc);

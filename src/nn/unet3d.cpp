@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/team.hpp"
 #include "util/validate.hpp"
 
 namespace oar::nn {
@@ -146,8 +147,12 @@ const Tensor& UNet3d::infer(const Tensor& input) {
                                           skip.shape(3));
     upsamples_[std::size_t(i)].infer_into(x->data(), up_c, x->shape(1),
                                           x->shape(2), x->shape(3), cat.data());
-    std::copy(skip.data(), skip.data() + skip.numel(),
-              cat.data() + std::int64_t(up_c) * spatial);
+    const float* src = skip.data();
+    float* dst = cat.data() + std::int64_t(up_c) * spatial;
+    util::team_for(skip.numel(), skip.numel() / 4,
+                   [&](std::int64_t b, std::int64_t e) {
+                     std::copy(src + b, src + e, dst + b);
+                   });
     x = &decoders_[std::size_t(i)]->infer(cat, arena);
   }
 

@@ -12,17 +12,18 @@ namespace oar::rl {
 
 /// Grid-keyed cache of the int8 first-layer state (the NNUE accumulator,
 /// DESIGN.md §17): quantized base input plus the conv1 / projection int32
-/// accumulators of the pin-free layout.  Per call the base is copied and
-/// only the touched pin columns are patched — O(pins * 27 * OC) instead of
-/// a full first-layer convolution.
+/// accumulators of the pin-free layout.  Per call only the touched pin
+/// columns are patched in place — O(pins * 27 * OC) instead of a full
+/// first-layer convolution — and reverted after the forward, so the base
+/// is never copied.  Integer patches revert exactly.
 struct SteinerSelector::Int8Accum {
   const HananGrid* grid = nullptr;
   std::uint64_t revision = 0;
   std::vector<float> feats;
-  std::vector<std::uint8_t> base_q;
-  std::vector<std::int32_t> base_acc1, base_accp;
-  std::vector<std::uint8_t> q;  // patched working copies
+  std::vector<std::uint8_t> q;
   std::vector<std::int32_t> acc1, accp;
+  /// Patched voxels of the current call with their original pin byte.
+  std::vector<std::pair<std::int64_t, std::uint8_t>> patched;
 };
 
 SteinerSelector::SteinerSelector(SelectorConfig config)
@@ -102,6 +103,9 @@ std::vector<Vertex> SteinerSelector::top_k_valid(const HananGrid& grid,
 
 std::vector<Vertex> SteinerSelector::select_steiner_points(
     const HananGrid& grid, std::int32_t k, const std::vector<Vertex>& extra_pins) {
+  // A zero budget (every 2-pin net) selects nothing whatever fsp says, so
+  // it needs no forward.
+  if (k <= 0) return {};
   const std::vector<double> fsp = infer_fsp(grid, extra_pins);
   return top_k_valid(grid, fsp, k, extra_pins);
 }
@@ -184,56 +188,75 @@ void SteinerSelector::infer_fsp_int8(const HananGrid& grid,
     a.feats.resize(std::size_t(hanan::kNumFeatureChannels) * std::size_t(S));
     // Shares the float base volume with the fp32 path's FeatureCache.
     features_.encode_into(grid, {}, a.feats.data());
-    a.base_q.resize(std::size_t(S) * std::size_t(icp));
-    int8_->quantize_input(a.feats.data(), H, V, M, a.base_q.data());
-    a.base_acc1.resize(std::size_t(S) * std::size_t(OC));
-    if (proj) a.base_accp.resize(std::size_t(S) * std::size_t(OC));
-    int8_->first_layer_acc(a.base_q.data(), H, V, M, a.base_acc1.data(),
-                           proj ? a.base_accp.data() : nullptr);
+    a.q.resize(std::size_t(S) * std::size_t(icp));
+    int8_->quantize_input(a.feats.data(), H, V, M, a.q.data());
+    a.acc1.resize(std::size_t(S) * std::size_t(OC));
+    if (proj) a.accp.resize(std::size_t(S) * std::size_t(OC));
+    int8_->first_layer_acc(a.q.data(), H, V, M, a.acc1.data(),
+                           proj ? a.accp.data() : nullptr);
     nn::quant::note_accumulator_rebuild();
   } else {
     nn::quant::note_accumulator_hit();
   }
 
-  a.q.assign(a.base_q.begin(), a.base_q.end());
-  a.acc1.assign(a.base_acc1.begin(), a.base_acc1.end());
-  if (proj) a.accp.assign(a.base_accp.begin(), a.base_accp.end());
-
-  // Patch pin flips: input channel 0 goes 0 -> 1 at each extra pin, which
-  // shifts the conv1 accumulator at output voxel (pin + 1 - k) per tap by
-  // the precomputed delta column.  Set semantics (skip voxels already at
-  // q_pin) keep base pins and duplicate extra pins exact, mirroring the
-  // FeatureCache float patch.
+  // Pin flips: input channel 0 goes 0 -> 1 at each extra pin, which shifts
+  // the conv1 accumulator at output voxel (pin + 1 - k) per tap by the
+  // precomputed delta column (sign -1 reverts it).  Set semantics (skip
+  // voxels already at q_pin) keep base pins and duplicate extra pins
+  // exact, mirroring the FeatureCache float patch.
   const std::uint8_t qpin = int8_->quantized_one(0);
   const auto& dcol = int8_->pin_delta();
   const auto& dproj = int8_->pin_delta_proj();
-  for (const Vertex pv : extra_pins) {
-    const hanan::Cell c = grid.cell(pv);
-    const std::int64_t vox = (std::int64_t(c.h) * V + c.v) * M + c.m;
-    std::uint8_t& qb = a.q[std::size_t(vox * icp)];
-    if (qb == qpin) continue;
-    qb = qpin;
+  const auto apply = [&](std::int64_t vox, std::int32_t sign) {
     if (proj) {
       std::int32_t* ap = a.accp.data() + vox * OC;
-      for (std::int32_t oc = 0; oc < OC; ++oc) ap[oc] += dproj[std::size_t(oc)];
+      for (std::int32_t oc = 0; oc < OC; ++oc) {
+        ap[oc] += sign * dproj[std::size_t(oc)];
+      }
     }
+    const std::int32_t h = std::int32_t(vox / (std::int64_t(V) * M));
+    const std::int32_t v = std::int32_t(vox / M % V);
+    const std::int32_t m = std::int32_t(vox % M);
     for (std::int32_t k0 = 0; k0 < 3; ++k0) {
-      const std::int32_t o0 = c.h + 1 - k0;
+      const std::int32_t o0 = h + 1 - k0;
       if (o0 < 0 || o0 >= H) continue;
       for (std::int32_t k1 = 0; k1 < 3; ++k1) {
-        const std::int32_t o1 = c.v + 1 - k1;
+        const std::int32_t o1 = v + 1 - k1;
         if (o1 < 0 || o1 >= V) continue;
         for (std::int32_t k2 = 0; k2 < 3; ++k2) {
-          const std::int32_t o2 = c.m + 1 - k2;
+          const std::int32_t o2 = m + 1 - k2;
           if (o2 < 0 || o2 >= M) continue;
           const std::int32_t tap = (k0 * 3 + k1) * 3 + k2;
           std::int32_t* av =
               a.acc1.data() + ((std::int64_t(o0) * V + o1) * M + o2) * OC;
           const std::int32_t* d = dcol.data() + std::int64_t(tap) * OC;
-          for (std::int32_t oc = 0; oc < OC; ++oc) av[oc] += d[oc];
+          for (std::int32_t oc = 0; oc < OC; ++oc) av[oc] += sign * d[oc];
         }
       }
     }
+  };
+  // Reverts every patch on scope exit, so the cached base survives even a
+  // forward that throws.
+  struct Revert {
+    Int8Accum& a;
+    std::int32_t icp;
+    const decltype(apply)& undo;
+    ~Revert() {
+      for (auto it = a.patched.rbegin(); it != a.patched.rend(); ++it) {
+        undo(it->first, -1);
+        a.q[std::size_t(it->first * icp)] = it->second;
+      }
+      a.patched.clear();
+    }
+  } revert{a, icp, apply};
+  for (const Vertex pv : extra_pins) {
+    const hanan::Cell c = grid.cell(pv);
+    const std::int64_t vox = (std::int64_t(c.h) * V + c.v) * M + c.m;
+    std::uint8_t& qb = a.q[std::size_t(vox * icp)];
+    if (qb == qpin) continue;
+    a.patched.emplace_back(vox, qb);
+    qb = qpin;
+    apply(vox, +1);
   }
 
   int8_->infer_from_first_layer(a.q.data(), a.acc1.data(),

@@ -15,6 +15,8 @@ bool ThreadPool::current_thread_in_pool() const {
   return t_current_pool == this;
 }
 
+bool ThreadPool::current_thread_is_worker() { return t_current_pool != nullptr; }
+
 std::size_t ThreadPool::resolve_thread_count(std::int64_t requested) {
   if (requested > 0) return std::size_t(requested);
   return std::max(1u, std::thread::hardware_concurrency());

@@ -59,12 +59,20 @@ class ThreadPool {
   /// callers — a serve::RouterService routing fan-out whose engine itself
   /// fans out, a parallel search running on a pool task — degrade to
   /// serial instead of freezing.  Nested calls on a *different* pool are
-  /// unaffected.  submit() from a worker never blocks and stays safe.
+  /// unaffected.  submit() from a worker never blocks and stays safe.  The
+  /// inference team (util/team.hpp) follows the same rule for every pool:
+  /// a forward running on any pool worker runs its layer regions inline.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// True iff the calling thread is one of this pool's workers (the
   /// condition under which parallel_for runs inline).
   bool current_thread_in_pool() const;
+
+  /// True iff the calling thread is a worker of any ThreadPool.  The
+  /// inference team (util/team.hpp) runs its regions inline on pool
+  /// workers: work a pool already spreads across the cores stays serial
+  /// per task instead of fighting the pool for them.
+  static bool current_thread_is_worker();
 
  private:
   void worker_loop();

@@ -136,8 +136,8 @@ TEST(SimdKernel, ScalarMatchesNaiveConv3) {
     std::vector<std::int32_t> expect;
     naive_conv3(act.storage, dense, c, expect);  // storage: aligned base
     std::vector<std::int32_t> got(expect.size(), -1);
-    scalar->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc,
-                       got.data());
+    scalar->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc, 0,
+                       c.d0, got.data());
     EXPECT_EQ(expect, got) << c.d0 << "x" << c.d1 << "x" << c.d2 << " ic="
                            << c.ic << " oc=" << c.oc;
   }
@@ -179,9 +179,9 @@ TEST(SimdKernel, VectorLevelsBitwiseEqualScalar) {
           std::vector<std::int32_t> ref(std::size_t(S) * oc, 0);
           std::vector<std::int32_t> got(std::size_t(S) * oc, 1);
           scalar->conv3_nhwc(act.data, d.d0, d.d1, d.d2, icp, wp.data(), oc,
-                             ref.data());
-          k->conv3_nhwc(act.data, d.d0, d.d1, d.d2, icp, wp.data(), oc,
-                        got.data());
+                             0, d.d0, ref.data());
+          k->conv3_nhwc(act.data, d.d0, d.d1, d.d2, icp, wp.data(), oc, 0,
+                        d.d0, got.data());
           ASSERT_EQ(ref, got) << nn::simd::level_name(level) << " conv3 ic="
                               << ic << " oc=" << oc;
 
@@ -219,16 +219,62 @@ TEST(SimdKernel, SaturationExtremesMatchScalar) {
     std::vector<std::uint8_t> plain(act.data, act.data + std::size_t(S) * icp);
     naive_conv3(plain, dense, c, expect);
     std::vector<std::int32_t> ref(expect.size(), 0);
-    scalar->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc,
-                       ref.data());
+    scalar->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc, 0,
+                       c.d0, ref.data());
     ASSERT_EQ(expect, ref);
     for (const Level level : {Level::kAvx2, Level::kAvx2Vnni, Level::kNeon}) {
       const Kernels* k = nn::simd::kernels_for(level);
       if (k == nullptr) continue;
       std::vector<std::int32_t> got(expect.size(), 0);
-      k->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc,
-                    got.data());
+      k->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc, 0,
+                    c.d0, got.data());
       EXPECT_EQ(expect, got) << nn::simd::level_name(level) << " w=" << wval;
+    }
+  }
+}
+
+TEST(SimdKernel, RowRangesStitchToTheFullVolume) {
+  // The inference team splits conv3_nhwc by output rows o0: every range
+  // writes exactly its own rows, and the stitched ranges equal one
+  // full-volume call bit for bit at every level.
+  util::Rng rng(13);
+  const ConvCase c{7, 9, 3, 8, 16};
+  const std::int32_t icp = ceil4(c.ic);
+  const std::int64_t S = std::int64_t(c.d0) * c.d1 * c.d2;
+  ActBuffer act(std::size_t(S) * icp, false);
+  fill_random(act.data, std::size_t(S) * icp, c.ic, icp, rng);
+  std::vector<std::int32_t> dense(std::size_t(c.oc) * c.ic * 27);
+  for (auto& w : dense) w = std::int32_t(rng.next() % 256) - 128;
+  const std::vector<std::int8_t> wp = pack_weights(dense, 27, c.ic, c.oc);
+  const std::int64_t row = std::int64_t(c.d1) * c.d2 * c.oc;
+
+  for (const Level level :
+       {Level::kScalar, Level::kAvx2, Level::kAvx2Vnni, Level::kNeon}) {
+    const Kernels* k = nn::simd::kernels_for(level);
+    if (k == nullptr) continue;
+    std::vector<std::int32_t> full(std::size_t(S) * c.oc, 0);
+    k->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc, 0, c.d0,
+                  full.data());
+    for (const std::int32_t parts : {2, 3, 4}) {
+      std::vector<std::int32_t> stitched(full.size(), -7);
+      for (std::int32_t p = 0; p < parts; ++p) {
+        const std::int32_t b = c.d0 * p / parts, e = c.d0 * (p + 1) / parts;
+        std::vector<std::int32_t> only(full.size(), -7);
+        k->conv3_nhwc(act.data, c.d0, c.d1, c.d2, icp, wp.data(), c.oc, b, e,
+                      only.data());
+        for (std::int64_t i = 0; i < std::int64_t(full.size()); ++i) {
+          const bool mine = i >= b * row && i < e * row;
+          if (mine) {
+            stitched[std::size_t(i)] = only[std::size_t(i)];
+          } else {
+            ASSERT_EQ(only[std::size_t(i)], -7)
+                << nn::simd::level_name(level) << " wrote outside rows [" << b
+                << ", " << e << ")";
+          }
+        }
+      }
+      EXPECT_EQ(stitched, full) << nn::simd::level_name(level) << " parts "
+                                << parts;
     }
   }
 }

@@ -124,6 +124,28 @@ TEST(Selector, TopKZeroOrNegativeIsEmpty) {
   EXPECT_TRUE(selector.select_steiner_points(grid, -3).empty());
 }
 
+TEST(Selector, ZeroBudgetRunsNoForward) {
+  // A 2-pin net has Steiner budget 0: the selection is empty whatever fsp
+  // says, so the network must not run and its arena stays untouched.
+  SteinerSelector selector(tiny_config());
+  util::Rng rng(8);
+  gen::RandomGridSpec spec;
+  spec.h = spec.v = 8;
+  spec.m = 2;
+  spec.min_pins = spec.max_pins = 2;
+  spec.min_obstacles = spec.max_obstacles = 2;
+  const HananGrid grid = gen::random_grid(spec, rng);
+  ASSERT_EQ(grid.pins().size(), 2u);
+  const std::int32_t budget = std::int32_t(grid.pins().size()) - 2;
+  EXPECT_TRUE(selector.select_steiner_points(grid, budget).empty());
+  const nn::InferenceScratch& arena = selector.net().inference_scratch();
+  EXPECT_EQ(arena.used(), 0u);
+  EXPECT_EQ(arena.grow_events(), 0u);
+  // A positive budget does run it.
+  EXPECT_EQ(selector.select_steiner_points(grid, 1).size(), 1u);
+  EXPECT_GT(arena.grow_events(), 0u);
+}
+
 TEST(Selector, TopKReturnsHighestProbabilityVertices) {
   SteinerSelector selector(tiny_config());
   const HananGrid grid = small_grid();
