@@ -2,14 +2,16 @@
 // the MCTS hot loop — one fsp query per tree expansion, same grid, varying
 // Steiner selections — and compares:
 //
-//   reference: the selector in training mode (the seed's scalar forward
-//              with full per-state feature re-encode and cache retention),
+//   reference: the selector in training mode (the training forward with
+//              full per-state feature re-encode and cache retention),
 //   engine:    the selector in inference mode (tiled kernels, arena
 //              temporaries, incremental FeatureCache patching).
 //
 // Every state's fsp is cross-checked between the two modes to a 1e-4
 // relative tolerance; a mismatch is a hard failure.  A second section runs
-// whole CombMcts episodes in both modes to show the end-to-end win.
+// whole CombMcts episodes in both modes to show the end-to-end win.  A
+// third times serial training steps (forward + BCE + backward of the
+// default selector) at 12x12x3 and 32x32x8, with no gate.
 // Results go to stdout and BENCH_infer.json.  `--smoke` shrinks the work
 // for CI; like bench_route there is deliberately no timing assertion on
 // the speedups.  Full mode gates the engine's cost per voxel at every
@@ -33,6 +35,7 @@
 #include "bench_common.hpp"
 #include "gen/random_layout.hpp"
 #include "mcts/comb_mcts.hpp"
+#include "nn/loss.hpp"
 #include "nn/quant/simd.hpp"
 #include "obs/metrics.hpp"
 #include "rl/evaluate.hpp"
@@ -158,6 +161,44 @@ SizeReport bench_size(std::int32_t dim, std::int32_t layers, int state_count,
   rep.engine_ips =
       double(states.size()) * reps_engine / std::max(engine.seconds, 1e-12);
   rep.speedup = rep.engine_ips / std::max(rep.ref_ips, 1e-12);
+  return rep;
+}
+
+struct TrainStepReport {
+  std::int32_t dim = 0, layers = 0;
+  double samples_per_s = 0.0;
+};
+
+/// Serial training throughput of the default selector net: forward, masked
+/// BCE and backward of one encoded layout per step, on the caller's
+/// thread, best of three rounds of `steps`.  There is no optimizer step, so
+/// every step runs the same arithmetic.
+TrainStepReport bench_train_step(std::int32_t dim, std::int32_t layers,
+                                 int steps) {
+  TrainStepReport rep;
+  rep.dim = dim;
+  rep.layers = layers;
+  const HananGrid grid = make_grid(dim, layers, /*pins=*/6, /*seed=*/23);
+  rl::SteinerSelector selector;
+  nn::UNet3d& net = selector.net();
+  net.set_training(true);
+  const nn::Tensor input = rl::SteinerSelector::encode(grid, {});
+  nn::Tensor label({1, dim, dim, layers});
+  for (const Vertex pin : grid.pins()) label[pin] = 1.0f;
+  const auto step = [&] {
+    const nn::Tensor logits = net.forward(input);
+    nn::Tensor grad;
+    (void)nn::bce_with_logits(logits, label, grad);
+    (void)net.backward(grad);
+  };
+  step();  // first-touch allocations
+  double best = 1e30;
+  for (int round = 0; round < 3; ++round) {
+    util::Timer timer;
+    for (int i = 0; i < steps; ++i) step();
+    best = std::min(best, timer.seconds() / steps);
+  }
+  rep.samples_per_s = 1.0 / std::max(best, 1e-12);
   return rep;
 }
 
@@ -343,7 +384,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("bench_infer: single-sample fsp inference, reference (training-"
-              "mode scalar path) vs inference engine%s\n",
+              "mode forward) vs inference engine%s\n",
               smoke ? " (smoke)" : "");
 
   // The reference path is much slower, so it gets fewer reps; throughput is
@@ -389,6 +430,14 @@ int main(int argc, char** argv) {
               "%6.2f episodes/s | %5.2fx\n",
               mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup);
 
+  const TrainStepReport train_small = bench_train_step(12, 3, smoke ? 4 : 40);
+  const TrainStepReport train_large = bench_train_step(32, 8, smoke ? 1 : 4);
+  for (const TrainStepReport& t : {train_small, train_large}) {
+    std::printf("  train step %dx%dx%d: %8.1f samples/s (serial forward + BCE + "
+                "backward)\n",
+                t.dim, t.dim, t.layers, t.samples_per_s);
+  }
+
   const Int8Report int8 = bench_int8(states, reps_engine, smoke);
   std::printf("  int8 32x32x8    : fp32 %9.1f inf/s | int8 %9.1f inf/s | "
               "%5.2fx (%s) | gate: agreement %.3f, cost ratio %.4f\n",
@@ -424,6 +473,10 @@ int main(int argc, char** argv) {
         "  \"per_voxel_ratio_24x24x6_vs_32x32x8\": %.3f,\n"
         "  \"comb_mcts\": {\"h\": 16, \"v\": 16, \"m\": 4,\n"
         "    \"reference_eps\": %.3f, \"engine_eps\": %.3f, \"speedup\": %.3f},\n"
+        "  \"training_step\": [\n"
+        "    {\"h\": %d, \"v\": %d, \"m\": %d, \"samples_per_s\": %.2f},\n"
+        "    {\"h\": %d, \"v\": %d, \"m\": %d, \"samples_per_s\": %.2f}\n"
+        "  ],\n"
         "  \"obs_overhead_fraction\": %.6f,\n"
         "  \"gates\": {\"per_voxel\": \"%s\", \"obs_overhead\": \"%s\"},\n"
         "  %s,\n"
@@ -433,7 +486,10 @@ int main(int argc, char** argv) {
         mid.ref_ips, mid.engine_ips, mid.speedup, mid.max_rel,
         large.ref_ips, large.engine_ips, large.speedup, large.max_rel,
         per_voxel_ratio, mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup,
-        obs_tax.overhead, per_voxel_gate.verdict(), obs_gate.verdict(),
+        train_small.dim, train_small.dim, train_small.layers,
+        train_small.samples_per_s, train_large.dim, train_large.dim,
+        train_large.layers, train_large.samples_per_s, obs_tax.overhead,
+        per_voxel_gate.verdict(), obs_gate.verdict(),
         bench::machine_json().c_str(), smoke ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote BENCH_infer.json\n");

@@ -60,9 +60,12 @@ void encode_features_into(const HananGrid& grid,
 /// the selector used to re-run the full 7-channel encode_features per
 /// state.  FeatureCache keeps the base (no extra pins) volume for the last
 /// grid seen, keyed on (grid address, HananGrid::revision()): the revision
-/// stamp comes from a global counter bumped on construction and every
-/// topology mutation, so two different grids can never collide on the key
-/// even if one is destroyed and another reuses its address.  encode_into
+/// stamp comes from a global counter bumped on construction, every
+/// topology mutation and every edge-cost overlay write, so two different
+/// grids can never collide on the key even if one is destroyed and another
+/// reuses its address.  The features ignore the overlay, so an overlay
+/// write (full-chip negotiation) costs a full re-encode although the base
+/// volume is unchanged.  encode_into
 /// copies the cached base and patches the extra-pin voxels into the copy,
 /// which leaves the cache itself clean by construction (equivalent to
 /// patching and un-patching in place, without the hazard).

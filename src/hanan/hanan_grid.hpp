@@ -185,9 +185,13 @@ class HananGrid {
   std::string validate() const;
 
   /// Globally unique stamp, refreshed by every topology mutation (pins,
-  /// blocked vertices/edges).  Lets consumers cache derived structures
+  /// blocked vertices/edges) and by every edge-cost overlay write
+  /// (set_edge_cost_bias, set_edge_cost_biases when the overlay changes,
+  /// clear_edge_cost_biases).  Lets consumers cache derived structures
   /// (e.g. MazeRouter's adjacency arrays) keyed on (address, revision):
-  /// two grids only ever share both when their topology is identical.
+  /// two grids only ever share both when their topology and edge costs are
+  /// identical.  A cache of something costs do not touch (the feature
+  /// volume) therefore also misses after an overlay write.
   std::uint64_t revision() const { return revision_; }
 
  private:

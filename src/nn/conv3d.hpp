@@ -17,9 +17,10 @@ class Conv3d : public Module {
   Conv3d(std::int32_t in_channels, std::int32_t out_channels, std::int32_t kernel,
          util::Rng& rng, std::int32_t padding = -1);
 
-  /// Training mode: reference scalar kernel, retains the input for
-  /// backward.  Inference mode: routes through infer_into (tiled kernels,
-  /// no retention).
+  /// Training mode: vectorized kernels that sum every output and gradient
+  /// element in the scalar loops' order (bitwise reproducible, DESIGN.md
+  /// §19); retains the input for backward.  Inference mode: routes through
+  /// infer_into (tiled kernels, no retention).
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;

@@ -6,9 +6,9 @@
 
 // Inference-engine convolution kernels (DESIGN.md §11).  Kept in their own
 // translation unit so the build can compile just this file with wider
-// vector flags (see src/nn/CMakeLists.txt) without touching the training
-// path's numerics: the training forward/backward in conv3d.cpp stay on the
-// default flags.
+// vector flags (see src/nn/CMakeLists.txt), FMA contraction included; the
+// training kernels in conv3d.cpp promise the scalar loops' bits and are
+// built without contraction (DESIGN.md §19).
 //
 // For the 3x3x3 same-pad layers at the channel counts the U-Net
 // instantiates we run a direct convolution along the innermost (layer)

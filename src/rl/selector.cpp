@@ -63,7 +63,7 @@ void SteinerSelector::infer_fsp_into(const HananGrid& grid,
     nn::sigmoid_into(logits.data(), logits.numel(), out.data());
     return;
   }
-  // Reference path (training mode): full re-encode + scalar forward.  Also
+  // Reference path (training mode): full re-encode + training forward.  Also
   // the baseline bench_infer measures the fast path against.
   const nn::Tensor input = encode(grid, extra_pins);
   const nn::Tensor logits = net_.forward(input);

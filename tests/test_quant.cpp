@@ -148,7 +148,7 @@ TEST(SimdKernel, VectorLevelsBitwiseEqualScalar) {
   ASSERT_NE(scalar, nullptr);
   util::Rng rng(11);
   const std::int32_t ics[] = {1, 3, 4, 5, 7, 8, 9, 12};
-  const std::int32_t ocs[] = {1, 2, 5, 8, 9, 16, 17, 24};
+  const std::int32_t ocs[] = {1, 2, 4, 5, 7, 8, 9, 16, 17, 24};
   // D1 >= 6 reaches the four-row quad path (plus remainder rows when
   // (D1 - 2) % 4 != 0); the small shapes keep the border/remainder-only
   // code honest.

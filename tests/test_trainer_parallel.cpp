@@ -8,6 +8,7 @@
 
 #include "nn/gradcheck.hpp"
 #include "rl/trainer.hpp"
+#include "util/hash.hpp"
 
 namespace oar::rl {
 namespace {
@@ -144,6 +145,52 @@ TEST(ParallelFitTest, PerSampleGradientsPassGradCheck) {
   EXPECT_TRUE(result.ok) << "max_abs_error=" << result.max_abs_error
                          << " violations=" << result.violations;
 }
+
+std::uint64_t weights_fnv1a64(SteinerSelector& selector) {
+  const std::vector<float> w = flatten_weights(selector);
+  return util::fnv1a64(reinterpret_cast<const char*>(w.data()),
+                       w.size() * sizeof(float));
+}
+
+// Weights after a fixed small fit of the default selector (7 -> 8 -> 16 ->
+// 32 channels, 1x1 projections and the OC = 1 head) at a quick-train size.
+// The training Conv3d kernels promise the scalar loops' per-element
+// summation order, so every weight bit is pinned: a kernel that reorders a
+// sum, or a build that contracts a multiply-add, changes this hash (so does
+// a global -mfma or -march in CMAKE_CXX_FLAGS, which lets the compiler
+// contract the other layers' float arithmetic).
+constexpr std::uint64_t kPinnedFitWeightsHash = 0xc008015ba1f651e0ull;
+
+class PinnedFitTest : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(PinnedFitTest, WeightsHashIsPinned) {
+  util::Rng data_rng(31);
+  Dataset dataset;
+  const gen::RandomGridSpec spec = training_spec({12, 12, 3}, 0.10, 3, 5);
+  for (int i = 0; i < 6; ++i) {
+    TrainingSample sample;
+    sample.grid = gen::random_grid(spec, data_rng);
+    const auto n = std::size_t(sample.grid.num_vertices());
+    sample.label.assign(n, 0.0f);
+    sample.mask.assign(n, 1.0f);
+    sample.label[(n * std::size_t(i + 1)) / 7] = 1.0f;
+    dataset.add(std::move(sample));
+  }
+  SelectorConfig cfg;
+  cfg.unet.seed = 0x0a25;
+  SteinerSelector selector(cfg);
+  nn::Adam optimizer(selector.net().parameters(), 3e-3);
+  util::Rng rng(5);
+  FitOptions options;
+  options.epochs = 2;
+  options.batch_size = 4;
+  options.workers = GetParam();
+  fit_dataset(selector, optimizer, dataset, options, rng);
+  EXPECT_EQ(weights_fnv1a64(selector), kPinnedFitWeightsHash)
+      << std::hex << "got 0x" << weights_fnv1a64(selector);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, PinnedFitTest, ::testing::Values(1, 4));
 
 TEST(ParallelFitTest, DatasetLossAgreesWithSerialEvaluation) {
   // dataset_loss runs each sample through the inference engine; it must
